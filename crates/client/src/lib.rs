@@ -8,6 +8,10 @@
 //!   a failure.
 //! * **Timeouts everywhere** — connect, read, and write deadlines, so a
 //!   wedged daemon costs a bounded wait, never a hang.
+//! * **One write per request** — the request line, headers and body leave
+//!   in one buffer on a `TCP_NODELAY` socket
+//!   ([`lopacity_util::http::write_request`]), so no piece of a request
+//!   waits behind Nagle's algorithm for the daemon's delayed ACK.
 //! * **Capped exponential backoff with deterministic jitter** — retryable
 //!   responses (`429`, `503`) and transport errors are retried up to
 //!   [`ClientConfig::max_retries`] times, sleeping
@@ -36,11 +40,11 @@
 //! println!("job {id}: {summary}");
 //! ```
 
-use std::io::{BufReader, Write};
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
-use lopacity_util::http::ClientResponse;
+use lopacity_util::http::{prepare_stream, write_request, ClientResponse};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -151,8 +155,7 @@ impl Client {
         for addr in addrs {
             match TcpStream::connect_timeout(&addr, self.config.connect_timeout) {
                 Ok(stream) => {
-                    stream.set_read_timeout(self.config.io_timeout).map_err(|e| e.to_string())?;
-                    stream.set_write_timeout(self.config.io_timeout).map_err(|e| e.to_string())?;
+                    prepare_stream(&stream, self.config.io_timeout).map_err(|e| e.to_string())?;
                     let read_half = stream.try_clone().map_err(|e| e.to_string())?;
                     return Ok(Conn { reader: BufReader::new(read_half), writer: stream });
                 }
@@ -170,14 +173,8 @@ impl Client {
         headers: &[(&str, &str)],
         body: &[u8],
     ) -> Result<ClientResponse, String> {
-        let mut request = format!("{method} {path} HTTP/1.1\r\n");
-        for (name, value) in headers {
-            request.push_str(&format!("{name}: {value}\r\n"));
-        }
-        request.push_str(&format!("Content-Length: {}\r\n\r\n", body.len()));
-        conn.writer.write_all(request.as_bytes()).map_err(|e| format!("write: {e}"))?;
-        conn.writer.write_all(body).map_err(|e| format!("write: {e}"))?;
-        conn.writer.flush().map_err(|e| format!("write: {e}"))?;
+        write_request(&mut conn.writer, method, path, headers, body)
+            .map_err(|e| format!("write: {e}"))?;
         ClientResponse::parse(&mut conn.reader).map_err(|e| format!("read: {e}"))
     }
 
@@ -400,6 +397,18 @@ mod tests {
         });
         let delays_c: Vec<Duration> = (1..=5).map(|k| c.backoff(k, None)).collect();
         assert_ne!(delays_a, delays_c);
+    }
+
+    #[test]
+    fn connections_disable_nagle() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = Client::new(ClientConfig {
+            addr: listener.local_addr().unwrap().to_string(),
+            ..ClientConfig::default()
+        });
+        let conn = client.connect().expect("dial the local listener");
+        assert!(conn.writer.nodelay().unwrap());
+        assert!(conn.reader.get_ref().nodelay().unwrap(), "both halves share one socket");
     }
 
     #[test]

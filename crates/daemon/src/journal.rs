@@ -28,6 +28,11 @@
 //! that replays was fully durable, and a record that was not fully
 //! durable was never acknowledged to a client.
 //!
+//! The checksum detects torn writes and accidental corruption. It is not
+//! an integrity MAC: FNV is unkeyed, so anyone who can write the state
+//! directory can forge a frame that replays. Protect the directory with
+//! file permissions.
+//!
 //! # Durability and fault injection
 //!
 //! [`Journal::append`] writes the frame, flushes, and `sync_data`s before

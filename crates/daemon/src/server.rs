@@ -17,14 +17,14 @@
 //! | `GET /metrics`                | counter exposition                          |
 //! | `GET /healthz`                | liveness probe                              |
 
-use std::io::BufReader;
+use std::io::{self, BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-use lopacity_util::http::{set_stream_deadlines, HttpError, Request, Response, MAX_BODY};
+use lopacity_util::http::{prepare_stream, HttpError, Request, Response, MAX_BODY};
 use lopacity_util::FaultPlan;
 
 use crate::job::JobSpec;
@@ -289,19 +289,25 @@ fn handle_connection(
     io_timeout: Option<Duration>,
     max_body: usize,
 ) {
-    // Read *and* write deadlines: a client that stalls mid-request (or
-    // stops draining the response) costs one handler thread for at most
-    // the deadline, not forever — the slowloris guard. The deadlines also
-    // bound how long an idle kept-alive connection holds its thread.
-    let _ = set_stream_deadlines(&stream, io_timeout, io_timeout);
+    // `TCP_NODELAY` (each response leaves in one write, so Nagle would
+    // only stall its tail) plus read *and* write deadlines: a client that
+    // stalls mid-request (or stops draining the response) costs one
+    // handler thread for at most the deadline, not forever — the
+    // slowloris guard. The deadlines also bound how long an idle
+    // kept-alive connection holds its thread.
+    let _ = prepare_stream(&stream, io_timeout);
     let Ok(read_half) = stream.try_clone() else { return };
     let mut reader = BufReader::new(read_half);
     let mut write_half = stream;
     // Keep-alive loop: serve requests until the client closes, asks to
-    // close, an error makes further framing untrustworthy, or shutdown.
+    // close, idles past the read deadline, an error makes further framing
+    // untrustworthy, or shutdown.
     loop {
         if state.faults.check_io("socket.read").is_err() {
             return; // injected read failure: the connection just dies
+        }
+        if !next_request_started(&mut reader) {
+            return;
         }
         let (response, keep) = match Request::parse_with_limits(&mut reader, max_body) {
             Ok(request) => {
@@ -319,6 +325,22 @@ fn handle_connection(
         }
         if response.write_to(&mut write_half).is_err() || !keep {
             return;
+        }
+    }
+}
+
+/// Waits for the first byte of the next request on a kept-alive
+/// connection. `false` means there is no request to answer: the client
+/// closed, or the read deadline fired while the connection sat idle. The
+/// caller then closes without writing — an unsolicited error response
+/// would be read by the client as the reply to its next request. A stall
+/// after the first byte still surfaces from the parser as a `400`.
+fn next_request_started(reader: &mut impl BufRead) -> bool {
+    loop {
+        match reader.fill_buf() {
+            Ok(buffered) => return !buffered.is_empty(),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(_) => return false,
         }
     }
 }
@@ -451,5 +473,29 @@ fn events(request: &Request, state: &Arc<ServerState>, id: &str) -> Response {
             Response::new(409).text(format!("job {id} holds no live churn session\n"))
         }
         Err(ChurnError::Parse(e)) => Response::new(400).text(format!("bad event stream: {e}\n")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::{Read, Write};
+
+    #[test]
+    fn accepted_sockets_disable_nagle() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        // A second handle on the same socket outlives the handler.
+        let probe = accepted.try_clone().unwrap();
+        let state = ServerState::new(1);
+        let handler = thread::spawn(move || handle_connection(accepted, state, None, MAX_BODY));
+        client.write_all(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap();
+        handler.join().unwrap();
+        assert!(probe.nodelay().unwrap());
+        drop(probe); // the last handle: the client now sees the close
+        let mut reply = String::new();
+        client.read_to_string(&mut reply).unwrap();
+        assert!(reply.starts_with("HTTP/1.1 200 OK\r\n"), "{reply}");
     }
 }

@@ -12,6 +12,14 @@
 //! `OnceLock::get_or_init` blocks every concurrent worker wanting the same
 //! key behind the single builder, so N simultaneous submissions over the
 //! same graph pay exactly one APSP build — the losers record cache hits.
+//!
+//! Held churn sessions each sit behind their own lock, taken in the order
+//! map → session → journal. The map lock covers only the lookup; the
+//! journal append, the apply and any repair run under the session lock,
+//! so one session's repair never delays another session's batch. Each
+//! session's `events` records thus reach the journal in apply order.
+//! Different sessions' records may interleave, and replay re-applies each
+//! session's batches in that session's own order.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -386,10 +394,11 @@ pub struct ServerState {
     /// keys for the daemon's lifetime — acceptable for a session daemon;
     /// restart to flush.
     cache: Mutex<HashMap<String, Arc<OnceLock<OpacityEvaluator>>>>,
-    /// Live churn sessions by job id. One lock for all sessions: event
-    /// batches are cheap relative to APSP builds, and churn jobs are
-    /// expected to be few and long-lived.
-    churn: Mutex<HashMap<u64, ChurnSession>>,
+    /// Live churn sessions by job id, each behind its own lock. The map
+    /// lock is held only to look up, insert or remove a session; a batch
+    /// journals, applies and repairs under its session's lock (lock order
+    /// map → session → journal; see the module docs).
+    churn: Mutex<HashMap<u64, Arc<Mutex<ChurnSession>>>>,
     /// Keep finished jobs (results, progress logs, held churn sessions)
     /// this long after they finish; `None` keeps them for the daemon's
     /// lifetime. Swept opportunistically on submit and after every run.
@@ -1054,7 +1063,10 @@ impl ServerState {
             }
             self.finish_job(job, Phase::Cancelled, summary);
         } else if certified {
-            self.churn.lock().expect("churn lock").insert(job.id, session);
+            self.churn
+                .lock()
+                .expect("churn lock")
+                .insert(job.id, Arc::new(Mutex::new(session)));
             bump(&self.metrics.jobs_completed, 1);
             self.finish_job(job, Phase::Done, summary);
         } else {
@@ -1067,15 +1079,25 @@ impl ServerState {
 
     /// Applies an event batch to a held churn session (one coalesced
     /// fork-sync per batch), auto-repairing if the batch breaks
-    /// certification. Returns the report as `key value` lines.
+    /// certification. Returns the report as `key value` lines. Batches
+    /// for one session run one at a time; batches for different sessions
+    /// run concurrently.
     pub fn apply_churn_events(&self, id: u64, text: &str) -> Result<String, ChurnError> {
         let job = self.job(id).ok_or(ChurnError::UnknownJob)?;
         let events = EdgeEvent::parse_stream(text).map_err(ChurnError::Parse)?;
-        let mut sessions = self.churn.lock().expect("churn lock");
-        let session = sessions.get_mut(&id).ok_or(ChurnError::NoSession)?;
-        // Journal the batch before applying: a crash between the append
-        // and the apply replays the batch into the rebuilt session, a
-        // crash before the append means the client was never answered.
+        let held = self
+            .churn
+            .lock()
+            .expect("churn lock")
+            .get(&id)
+            .cloned()
+            .ok_or(ChurnError::NoSession)?;
+        let mut guard = held.lock().expect("churn session lock");
+        let session = &mut *guard;
+        // Journal the batch before applying, under the session lock so the
+        // session's journal order is its apply order: a crash between the
+        // append and the apply replays the batch into the rebuilt session,
+        // a crash before the append means the client was never answered.
         if let Err(e) = self.journal_append(&Record::Events { id, batch: text.to_string() }) {
             job.push_progress(format!("journal write failed for event batch: {e}"));
         }

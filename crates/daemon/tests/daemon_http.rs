@@ -9,13 +9,21 @@
 //!   run's;
 //! * budget-interrupted jobs produce deterministic partial outcomes;
 //! * churn jobs hold a live session that accepts event batches;
-//! * the bounded queue rejects overflow with `429`.
+//! * held sessions serve batches independently of each other;
+//! * the bounded queue rejects overflow with `429`;
+//! * a keep-alive exchange costs the daemon's work, not a TCP timer, and
+//!   an idle kept-alive connection closes without an unsolicited reply.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-use lopacity_daemon::{Daemon, DaemonConfig};
+use lopacity::{Anonymizer, ChurnSession, EdgeEvent, Removal, TypeSpec};
+use lopacity_client::{Client, ClientConfig};
+use lopacity_daemon::job::resolve_graph;
+use lopacity_daemon::{Daemon, DaemonConfig, JobSpec};
+use lopacity_graph::{Edge, Graph};
 
 fn boot(workers: usize, queue: usize) -> Daemon {
     Daemon::bind(&DaemonConfig {
@@ -283,5 +291,267 @@ fn bounded_queue_rejects_overflow_with_429() {
     let (phase, _) = wait_finished(addr, queued);
     assert_eq!(phase, "cancelled");
     wait_finished(addr, slow);
+    daemon.shutdown();
+}
+
+/// A keep-alive client with the default timeouts and retry policy.
+fn client_for(addr: SocketAddr) -> Client {
+    Client::new(ClientConfig { addr: addr.to_string(), ..ClientConfig::default() })
+}
+
+/// `POST /jobs/<id>/events` over `client`; returns the report body.
+fn post_batch(client: &mut Client, id: u64, batch: &str) -> String {
+    let response = client
+        .request("POST", &format!("/jobs/{id}/events"), &[], batch.as_bytes())
+        .unwrap_or_else(|e| panic!("batch into job {id}: {e}"));
+    response.body_str().expect("UTF-8 report").to_string()
+}
+
+/// The graph a spec resolves to, as the daemon builds it.
+fn spec_graph(spec: &str) -> Graph {
+    resolve_graph(&JobSpec::parse(spec).expect("spec").source).expect("graph")
+}
+
+/// Event lines, one per event, as `POST /jobs/<id>/events` takes them.
+fn batch_text(events: impl IntoIterator<Item = EdgeEvent>) -> String {
+    events.into_iter().map(|event| format!("{event}\n")).collect()
+}
+
+/// `count` deletes of pairs that are not edges of the spec's graph: a
+/// batch the held session skips event by event.
+fn absent_edge_deletes(spec: &str, count: usize) -> String {
+    batch_text(spec_graph(spec).non_edges().take(count).map(EdgeEvent::Delete))
+}
+
+/// `batches` seeded batches of five events: inserts of random pairs and
+/// deletes of edges of the original graph.
+fn random_batches(spec: &str, batches: usize, seed: u64) -> Vec<String> {
+    let graph = spec_graph(spec);
+    let n = graph.num_vertices() as u64;
+    let edges = graph.edge_vec();
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    let mut next = move || {
+        // xorshift64*
+        state ^= state >> 12;
+        state ^= state << 25;
+        state ^= state >> 27;
+        state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11
+    };
+    (0..batches)
+        .map(|_| {
+            batch_text((0..5).map(|_| {
+                if next() % 3 == 0 {
+                    EdgeEvent::Delete(edges[(next() % edges.len() as u64) as usize])
+                } else {
+                    let u = next() % n;
+                    let v = (u + 1 + next() % (n - 1)) % n;
+                    EdgeEvent::Insert(Edge::new(u as u32, v as u32))
+                }
+            }))
+        })
+        .collect()
+}
+
+/// The reports a sequential in-process replica of the daemon's held
+/// session gives for `batches`, formatted as `POST /jobs/<id>/events`
+/// answers them. Set-up mirrors the daemon's: repair first if the graph
+/// starts above θ.
+fn replica_reports(spec: &str, batches: &[String]) -> Vec<String> {
+    let parsed = JobSpec::parse(spec).expect("spec");
+    let graph = spec_graph(spec);
+    let mut session =
+        ChurnSession::new(Anonymizer::new(&graph, &TypeSpec::DegreePairs).config(parsed.config()));
+    if !session.is_certified() {
+        session.repair(Removal);
+    }
+    batches
+        .iter()
+        .map(|text| {
+            let report = session.apply_batch(&EdgeEvent::parse_stream(text).expect("events"));
+            let mut out = format!(
+                "applied {}\nskipped {}\nchanged_cells {}\nmax_lo {:.6}\nviolated {}\n",
+                report.applied, report.skipped, report.changed_cells, report.max_lo, report.violated
+            );
+            if report.violated {
+                let patch = session.repair(Removal);
+                out.push_str(&format!(
+                    "repair_achieved {}\nrepair_steps {}\nrepair_trials {}\nrepair_removed {}\nrepair_inserted {}\nrepair_max_lo {:.6}\n",
+                    patch.achieved,
+                    patch.steps,
+                    patch.trials,
+                    patch.removed.len(),
+                    patch.inserted.len(),
+                    patch.max_lo
+                ));
+            }
+            out
+        })
+        .collect()
+}
+
+/// An idle kept-alive connection that outlives the daemon's read
+/// deadline is closed without a word. An unsolicited `400` there used to
+/// be read by the client as the reply to its next request.
+#[test]
+fn idle_keep_alive_connections_close_silently() {
+    let daemon = Daemon::bind(&DaemonConfig {
+        addr: "127.0.0.1:0".to_string(),
+        io_timeout_secs: 1,
+        ..DaemonConfig::default()
+    })
+    .expect("bind daemon on an ephemeral port");
+    let addr = daemon.addr();
+    let mut client = client_for(addr);
+    assert_eq!(client.get("/healthz").expect("first request").status, 200);
+    std::thread::sleep(Duration::from_millis(1500));
+    let second = client.get("/healthz").expect("a request after an idle spell must succeed");
+    assert_eq!(second.body_str(), Some("ok\n"));
+
+    // On the wire: a connection that never sends a byte gets none back.
+    let mut idle = TcpStream::connect(addr).expect("connect");
+    idle.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+    let mut raw = Vec::new();
+    idle.read_to_end(&mut raw).expect("the daemon closes the idle connection");
+    assert!(raw.is_empty(), "idle close wrote {:?}", String::from_utf8_lossy(&raw));
+    daemon.shutdown();
+}
+
+/// A keep-alive exchange costs the daemon's work, not a TCP timer: 100
+/// no-op batches into a held churn session finish far inside 2 s. With a
+/// Nagle / delayed-ACK stall per exchange they took at least 8.8 s.
+#[test]
+fn churn_exchanges_do_not_wait_on_tcp_timers() {
+    let daemon = boot(1, 4);
+    let addr = daemon.addr();
+    let spec = "mode churn\nl 1\ntheta 0.6\nseed 5\ngraph gnm 30 60 9\n";
+    let job = submit(addr, spec);
+    assert_eq!(wait_finished(addr, job).0, "done");
+    let batch = absent_edge_deletes(spec, 4);
+    let mut client = client_for(addr);
+    let started = Instant::now();
+    for _ in 0..100 {
+        let report = post_batch(&mut client, job, &batch);
+        assert!(report.starts_with("applied 0\nskipped 4\n"), "{report}");
+    }
+    let elapsed = started.elapsed();
+    assert!(elapsed < Duration::from_secs(2), "100 no-op batches took {elapsed:?}");
+    daemon.shutdown();
+}
+
+/// Two client threads stream interleaved batches into two held
+/// sessions. Each session's reports must be byte-equal to a sequential
+/// in-process replica's.
+#[test]
+fn concurrent_sessions_match_sequential_replicas() {
+    let daemon = boot(2, 4);
+    let addr = daemon.addr();
+    let specs = [
+        "mode churn\nl 2\ntheta 0.4\nseed 1\ngraph gnm 100 200 7\n",
+        "mode churn\nl 2\ntheta 0.4\nseed 2\ngraph gnm 100 200 8\n",
+    ];
+    let ids: Vec<u64> = specs.iter().map(|spec| submit(addr, spec)).collect();
+    for &id in &ids {
+        assert_eq!(wait_finished(addr, id).0, "done");
+    }
+    let streams: Vec<Vec<String>> =
+        specs.iter().zip([11, 12]).map(|(spec, seed)| random_batches(spec, 25, seed)).collect();
+    let start = Arc::new(Barrier::new(ids.len()));
+    let served: Vec<Vec<String>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = ids
+            .iter()
+            .zip(&streams)
+            .map(|(&id, batches)| {
+                let start = Arc::clone(&start);
+                scope.spawn(move || {
+                    let mut client = client_for(addr);
+                    start.wait();
+                    batches.iter().map(|batch| post_batch(&mut client, id, batch)).collect()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("client thread")).collect()
+    });
+    for (k, (spec, batches)) in specs.iter().zip(&streams).enumerate() {
+        let expected = replica_reports(spec, batches);
+        for (b, (got, want)) in served[k].iter().zip(&expected).enumerate() {
+            assert_eq!(got, want, "session {k} batch {b}");
+        }
+    }
+    assert!(metric(addr, "lopacityd_churn_repairs") > 0, "the streams must exercise repairs");
+    daemon.shutdown();
+}
+
+/// A session's batch does not wait for another session's repair: a
+/// no-op batch into session B is answered while session A is still
+/// inside a multi-second repair.
+#[test]
+fn a_repair_in_one_session_does_not_stall_another() {
+    let daemon = boot(2, 4);
+    let addr = daemon.addr();
+    // A's setup repairs its graph down to θ (seconds in a debug build);
+    // re-inserting every original edge restores the violating graph, so
+    // A's next batch repeats that repair.
+    let spec_a = "mode churn\nl 2\ntheta 0.12\nseed 1\ngraph gnm 800 1600 7\n";
+    let spec_b = "mode churn\nl 1\ntheta 0.6\nseed 5\ngraph gnm 30 60 9\n";
+    let (a, b) = (submit(addr, spec_a), submit(addr, spec_b));
+    assert_eq!(wait_finished(addr, a).0, "done");
+    assert_eq!(wait_finished(addr, b).0, "done");
+    let reinsert = batch_text(spec_graph(spec_a).edges().map(EdgeEvent::Insert));
+    let noop = absent_edge_deletes(spec_b, 4);
+    let mut client_b = client_for(addr);
+    post_batch(&mut client_b, b, &noop); // dial before the race
+
+    std::thread::scope(|scope| {
+        let repairing = scope.spawn(|| {
+            let report = post_batch(&mut client_for(addr), a, &reinsert);
+            (report, Instant::now())
+        });
+        // A's progress log shows the violating batch just before the
+        // repair starts.
+        let deadline = Instant::now() + Duration::from_secs(60);
+        loop {
+            let (_, progress) = request(addr, "GET", &format!("/jobs/{a}/progress"), "");
+            if progress.lines().any(|l| l.starts_with("batch ") && l.ends_with("violated=true")) {
+                break;
+            }
+            assert!(Instant::now() < deadline, "A's batch never started:\n{progress}");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let report_b = post_batch(&mut client_b, b, &noop);
+        let b_done = Instant::now();
+        assert!(report_b.starts_with("applied 0\nskipped 4\n"), "{report_b}");
+        let (report_a, a_done) = repairing.join().expect("session A client");
+        assert!(report_a.contains("violated true\nrepair_achieved true\n"), "{report_a}");
+        assert!(b_done < a_done, "B's no-op batch was answered only after A's repair");
+    });
+    daemon.shutdown();
+}
+
+/// An idle daemon that is only polled still honors its job TTL: the
+/// request path sweeps too, so a finished job is gone by the first poll
+/// after its expiry.
+#[test]
+fn polled_idle_daemon_honors_the_job_ttl() {
+    let daemon = Daemon::bind(&DaemonConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 1,
+        job_ttl_secs: Some(1),
+        ..DaemonConfig::default()
+    })
+    .expect("bind daemon on an ephemeral port");
+    let addr = daemon.addr();
+    let id = submit(addr, &shared_spec(0.5));
+    assert_eq!(wait_finished(addr, id).0, "done");
+    // Expiry is due at most 1 s from here, and the next poll sweeps it.
+    // The rest is slack for a loaded machine.
+    let finished_by = Instant::now();
+    while request(addr, "GET", &format!("/jobs/{id}"), "").0 != 404 {
+        assert!(
+            finished_by.elapsed() < Duration::from_millis(3500),
+            "job {id} outlived its 1 s TTL while being polled"
+        );
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    assert_eq!(metric(addr, "lopacityd_jobs_expired"), 1);
     daemon.shutdown();
 }

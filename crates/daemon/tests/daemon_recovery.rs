@@ -5,7 +5,8 @@
 //!   from the last durable checkpoint — and the recovered final graph is
 //!   **byte-identical** to an uninterrupted run's, on both store backends;
 //! * finished jobs restore from the journal without re-running;
-//! * `done` churn jobs get their held session rebuilt deterministically;
+//! * `done` churn jobs get their held session rebuilt deterministically,
+//!   also when the journal interleaves the batches of several sessions;
 //! * a panicking job is re-queued up to its attempts budget, then
 //!   quarantined — without taking the worker pool down;
 //! * load-shedding admission sheds the oldest queued job and answers
@@ -18,7 +19,8 @@ use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use lopacity_daemon::{Daemon, DaemonConfig};
+use lopacity_daemon::journal::scan_frames;
+use lopacity_daemon::{Daemon, DaemonConfig, Record};
 
 /// A fresh per-test state directory under the system temp dir.
 fn state_dir(tag: &str) -> PathBuf {
@@ -253,6 +255,108 @@ fn churn_sessions_rebuild_on_boot() {
     assert_eq!(status, 200, "{report}");
     let skipped: u64 = field(&report, "skipped").unwrap().parse().unwrap();
     assert!(skipped >= 1, "duplicate of a replayed event must be skipped:\n{report}");
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `count` batches of five seeded inserts of random pairs among `n`
+/// vertices.
+fn insert_batches(n: u64, count: usize, seed: u64) -> Vec<String> {
+    let mut x = seed;
+    let mut next = move || {
+        x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+        x >> 33
+    };
+    (0..count)
+        .map(|_| {
+            (0..5)
+                .map(|_| {
+                    let u = next() % n;
+                    let v = (u + 1 + next() % (n - 1)) % n;
+                    format!("+ {u} {v}\n")
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Two held sessions whose batches interleave in the journal: replay
+/// re-applies each session's batches in that session's order (repairs
+/// included), so the rebuilt sessions answer follow-up batches
+/// byte-for-byte like sessions that never restarted.
+#[test]
+fn interleaved_churn_sessions_recover_byte_identical() {
+    let specs = [
+        "mode churn\nl 2\ntheta 0.4\nseed 1\ngraph gnm 100 200 7\n",
+        "mode churn\nl 2\ntheta 0.4\nseed 2\ngraph gnm 100 200 8\n",
+    ];
+    let streams = [insert_batches(100, 10, 1), insert_batches(100, 10, 2)];
+    // Batches before the restart; the rest are the follow-ups.
+    let split = 8;
+    let open = |addr: SocketAddr| -> Vec<u64> {
+        specs
+            .iter()
+            .map(|spec| {
+                let id = submit(addr, spec);
+                assert_eq!(wait_finished(addr, id).0, "done");
+                id
+            })
+            .collect()
+    };
+    // Alternates the sessions batch by batch: A, B, A, B, ...
+    let feed = |addr: SocketAddr, ids: &[u64], batches: std::ops::Range<usize>| -> Vec<String> {
+        let mut reports = Vec::new();
+        for b in batches {
+            for (k, &id) in ids.iter().enumerate() {
+                let (status, report) =
+                    request(addr, "POST", &format!("/jobs/{id}/events"), &streams[k][b]);
+                assert_eq!(status, 200, "{report}");
+                reports.push(report);
+            }
+        }
+        reports
+    };
+    let total = streams[0].len();
+
+    let reference = {
+        let daemon = boot(config_with(None));
+        let addr = daemon.addr();
+        let ids = open(addr);
+        let reports = feed(addr, &ids, 0..total);
+        daemon.shutdown();
+        reports
+    };
+    assert!(
+        reference.iter().any(|r| r.contains("violated true")),
+        "the streams must exercise repairs"
+    );
+
+    let dir = state_dir("churn-interleaved");
+    let daemon = boot(config_with(Some(dir.clone())));
+    let addr = daemon.addr();
+    let ids = open(addr);
+    let mut reports = feed(addr, &ids, 0..split);
+    daemon.shutdown();
+
+    let (records, _, torn) = scan_frames(&std::fs::read(dir.join("journal.log")).unwrap());
+    assert!(torn.is_none(), "{torn:?}");
+    let order: Vec<u64> = records
+        .iter()
+        .filter_map(|r| match r {
+            Record::Events { id, .. } => Some(*id),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(order.len(), 2 * split);
+    assert!(order.windows(2).all(|w| w[0] != w[1]), "journal must interleave: {order:?}");
+
+    let daemon = boot(config_with(Some(dir.clone())));
+    let addr = daemon.addr();
+    assert_eq!(metric(addr, "lopacityd_churn_sessions"), 2, "both sessions rebuilt");
+    reports.extend(feed(addr, &ids, split..total));
+    for (k, (got, want)) in reports.iter().zip(&reference).enumerate() {
+        assert_eq!(got, want, "report {k} (batch {}, session {})", k / 2, k % 2);
+    }
     daemon.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

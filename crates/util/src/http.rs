@@ -7,10 +7,18 @@
 //! `Content-Length` bodies, query-string splitting, HTTP/1.1 keep-alive
 //! (requests carry [`Request::keep_alive`]; responses answer
 //! `Connection: keep-alive` when [`Response::keep_alive`] opts in, and
-//! `Connection: close` otherwise), a response writer, and a client-side
-//! response parser ([`ClientResponse`]) for the `lopacity-client` crate.
+//! `Connection: close` otherwise), a response writer, and the client side
+//! for the `lopacity-client` crate: a request writer ([`write_request`])
+//! and a response parser ([`ClientResponse`]).
 //! Not supported, by design: chunked transfer encoding, multipart bodies,
 //! TLS, HTTP/2, pipelining.
+//!
+//! Framing rule, both directions: one message, one write. A request or
+//! response is assembled in a single buffer and handed to the writer in
+//! one `write_all`, and [`prepare_stream`] sets `TCP_NODELAY` on every
+//! socket. A message split over several writes lets Nagle's algorithm
+//! hold the later pieces until the peer's delayed ACK (~40 ms on Linux),
+//! up to one such stall per direction of every exchange.
 //!
 //! The parser is defensive rather than strict: it enforces the request
 //! shape it understands (reasonable line/header/body limits, a valid
@@ -183,20 +191,24 @@ impl Request {
     }
 }
 
-/// Arms per-connection read/write deadlines on a socket — the slowloris
-/// defense. A client that opens a connection and stalls (never sends a
-/// full request, or never drains the response) hits the deadline and the
-/// blocked `read`/`write` returns `WouldBlock`/`TimedOut`, which
-/// [`Request::parse`] surfaces as [`HttpError::Io`] so the handler thread
-/// is reclaimed instead of pinned forever. `None` leaves a direction
-/// unbounded (blocking), matching `TcpStream::set_read_timeout`.
-pub fn set_stream_deadlines(
-    stream: &TcpStream,
-    read: Option<Duration>,
-    write: Option<Duration>,
-) -> io::Result<()> {
-    stream.set_read_timeout(read)?;
-    stream.set_write_timeout(write)
+/// Readies a socket for request/response traffic, on either end.
+///
+/// * Disables Nagle's algorithm (`TCP_NODELAY`). With one write per
+///   message there is nothing for Nagle to coalesce; left on, it only
+///   delays a message's last partial segment until the peer acknowledges
+///   the previous one.
+/// * Arms `timeout` as both the read and the write deadline — the
+///   slowloris defense. A peer that stalls (never sends a full request,
+///   or never drains the response) hits the deadline and the blocked
+///   `read`/`write` returns `WouldBlock`/`TimedOut`, which
+///   [`Request::parse`] surfaces as [`HttpError::Io`] so the handler
+///   thread is reclaimed instead of pinned forever. `None` leaves both
+///   directions unbounded (blocking), matching
+///   `TcpStream::set_read_timeout`.
+pub fn prepare_stream(stream: &TcpStream, timeout: Option<Duration>) -> io::Result<()> {
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(timeout)?;
+    stream.set_write_timeout(timeout)
 }
 
 /// Reads exactly `length` body bytes, growing the buffer with the bytes
@@ -329,24 +341,50 @@ impl Response {
     }
 
     /// Serializes the response (`Connection: close` unless
-    /// [`Response::keep_alive`] opted in).
+    /// [`Response::keep_alive`] opted in) as one write (see the module
+    /// docs' framing rule).
     pub fn write_to<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        write!(
-            w,
+        let mut head = format!(
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
             self.status,
             self.reason,
             self.content_type,
             self.body.len(),
             if self.keep_alive { "keep-alive" } else { "close" }
-        )?;
+        );
         for (name, value) in &self.extra_headers {
-            write!(w, "{name}: {value}\r\n")?;
+            head.push_str(&format!("{name}: {value}\r\n"));
         }
-        w.write_all(b"\r\n")?;
-        w.write_all(&self.body)?;
-        w.flush()
+        head.push_str("\r\n");
+        write_message(w, head, &self.body)
     }
+}
+
+/// Writes one client request — request line, `headers`, `Content-Length`
+/// and `body` — as one write (see the module docs' framing rule). `path`
+/// carries any query string.
+pub fn write_request<W: Write>(
+    w: &mut W,
+    method: &str,
+    path: &str,
+    headers: &[(&str, &str)],
+    body: &[u8],
+) -> io::Result<()> {
+    let mut head = format!("{method} {path} HTTP/1.1\r\n");
+    for (name, value) in headers {
+        head.push_str(&format!("{name}: {value}\r\n"));
+    }
+    head.push_str(&format!("Content-Length: {}\r\n\r\n", body.len()));
+    write_message(w, head, body)
+}
+
+/// The framing rule itself: `head` (start line and headers, through the
+/// blank line) and `body` leave in one buffer through one `write_all`.
+fn write_message<W: Write>(w: &mut W, head: String, body: &[u8]) -> io::Result<()> {
+    let mut wire = head.into_bytes();
+    wire.extend_from_slice(body);
+    w.write_all(&wire)?;
+    w.flush()
 }
 
 /// One parsed HTTP/1.x *response*, as read by a client (`lopacity-client`
@@ -527,12 +565,7 @@ mod tests {
             c.write_all(b"GET /never").unwrap();
         }
         let (server_side, _) = listener.accept().unwrap();
-        set_stream_deadlines(
-            &server_side,
-            Some(Duration::from_millis(80)),
-            Some(Duration::from_millis(80)),
-        )
-        .unwrap();
+        prepare_stream(&server_side, Some(Duration::from_millis(80))).unwrap();
         let started = std::time::Instant::now();
         let err = Request::parse(&mut BufReader::new(&server_side)).unwrap_err();
         assert!(matches!(err, HttpError::Io(_)), "stall must surface as an I/O error: {err:?}");
@@ -621,6 +654,61 @@ mod tests {
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("\r\nRetry-After: 2\r\n"), "{text}");
         assert!(text.ends_with("\r\n\r\nshed\n"), "{text}");
+    }
+
+    /// A `Write` that takes every buffer whole and counts the calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        wire: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.wire.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Bodies on both sides of the parser's 64 KiB read chunk.
+    fn framing_bodies() -> [Vec<u8>; 2] {
+        [b"applied 4\n".to_vec(), vec![b'x'; 64 * 1024 + 17]]
+    }
+
+    #[test]
+    fn responses_leave_in_one_write() {
+        for body in framing_bodies() {
+            let mut w = CountingWriter::default();
+            Response::ok(String::from_utf8(body.clone()).unwrap())
+                .header("Retry-After", "5")
+                .keep_alive(true)
+                .write_to(&mut w)
+                .unwrap();
+            assert_eq!(w.writes, 1, "a {}-byte body must not split the response", body.len());
+            let resp = ClientResponse::parse(&mut BufReader::new(w.wire.as_slice())).unwrap();
+            assert_eq!(resp.body, body);
+            assert_eq!(resp.header("retry-after"), Some("5"));
+        }
+    }
+
+    #[test]
+    fn requests_leave_in_one_write() {
+        for body in framing_bodies() {
+            let mut w = CountingWriter::default();
+            write_request(&mut w, "POST", "/jobs/3/events", &[("Idempotency-Key", "k")], &body)
+                .unwrap();
+            assert_eq!(w.writes, 1, "a {}-byte body must not split the request", body.len());
+            let req = Request::parse(&mut BufReader::new(w.wire.as_slice())).unwrap();
+            assert_eq!((req.method.as_str(), req.path.as_str()), ("POST", "/jobs/3/events"));
+            assert_eq!(req.header("idempotency-key"), Some("k"));
+            assert_eq!(req.body, body);
+            assert!(req.keep_alive);
+        }
     }
 
     #[test]
