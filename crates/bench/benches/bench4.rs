@@ -21,13 +21,10 @@
 
 use lopacity::{AnonymizeConfig, Anonymizer, Parallelism, Removal, TypeSpec};
 use lopacity_apsp::{ApspEngine, DistanceMatrix};
+use lopacity_bench::harness::{calibration_unit_secs, json_f, min_secs, BenchArgs};
 use lopacity_gen::er::gnm;
 use lopacity_graph::Graph;
 use std::hint::black_box;
-use std::time::Instant;
-
-/// Tolerated slowdown of the calibrated scan metric vs the baseline.
-const REGRESSION_TOLERANCE: f64 = 0.20;
 
 struct Scale {
     name: &'static str,
@@ -40,42 +37,6 @@ struct Scale {
 
 const SMOKE: Scale = Scale { name: "smoke", n: 500, m: 1500, l: 2, steps: 2, repeats: 5 };
 const FULL: Scale = Scale { name: "full", n: 2000, m: 6000, l: 2, steps: 2, repeats: 3 };
-
-/// Minimum over `repeats` timed runs — the classical low-noise estimator
-/// for a deterministic workload: every disturbance (scheduler, turbo,
-/// noisy neighbors) only ever adds time, so the minimum is the best
-/// available approximation of the undisturbed cost. This is what keeps
-/// the CI regression gate from tripping on shared-runner jitter.
-fn min_secs(repeats: usize, mut f: impl FnMut()) -> f64 {
-    (0..repeats)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_secs_f64()
-        })
-        .fold(f64::INFINITY, f64::min)
-}
-
-/// Fixed synthetic kernel: 64 MB of xorshift-mixed u64 sums. Pure ALU +
-/// streaming memory, no lopacity code, deterministic iteration count —
-/// the per-machine "speed unit" the scan metric is normalized by.
-fn calibration_unit_secs() -> f64 {
-    min_secs(7, || {
-        let mut x = 0x9E3779B97F4A7C15u64;
-        let mut acc = 0u64;
-        let mut buf = vec![0u64; 1 << 20];
-        for round in 0..8u64 {
-            for slot in buf.iter_mut() {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                *slot = slot.wrapping_add(x ^ round);
-                acc = acc.wrapping_add(*slot);
-            }
-        }
-        black_box(acc);
-    })
-}
 
 struct ScanMeasurement {
     secs: f64,
@@ -103,48 +64,9 @@ fn measure_scan(g: &Graph, scale: &Scale, parallelism: Parallelism) -> ScanMeasu
     ScanMeasurement { secs, trials: out.trials, steps: out.steps, fork_clones: out.fork_clones }
 }
 
-fn json_f(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.9}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Extracts `"key": <number>` from a flat-enough JSON text (the check
-/// path's only parsing need; the workspace has no JSON dependency).
-fn extract_number(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let at = json.find(&needle)?;
-    let rest = &json[at + needle.len()..];
-    let colon = rest.find(':')?;
-    let tail = rest[colon + 1..].trim_start();
-    let end = tail
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-        .unwrap_or(tail.len());
-    tail[..end].parse().ok()
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut scale = &SMOKE;
-    let mut out_dir = std::path::PathBuf::from("results");
-    let mut check: Option<std::path::PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--scale" => match it.next().map(String::as_str) {
-                Some("smoke") => scale = &SMOKE,
-                Some("full") => scale = &FULL,
-                other => panic!("--scale takes smoke|full, got {other:?}"),
-            },
-            "--out" => out_dir = it.next().expect("--out takes a directory").into(),
-            "--check" => check = Some(it.next().expect("--check takes a file").into()),
-            // `cargo bench` forwards its own filter/flag arguments (e.g.
-            // `--bench`) to every harness; ignore anything unknown.
-            _ => {}
-        }
-    }
+    let args = BenchArgs::from_env(&["smoke", "full"], "smoke");
+    let scale = if args.scale == "full" { &FULL } else { &SMOKE };
 
     let workers_detected = Parallelism::Auto.workers();
     eprintln!(
@@ -242,29 +164,7 @@ fn main() {
         json_f(ratio),
     );
 
-    std::fs::create_dir_all(&out_dir).expect("create output directory");
-    let path = out_dir.join("BENCH_4.json");
-    std::fs::write(&path, &json).expect("write BENCH_4.json");
-    eprintln!("bench4: wrote {}", path.display());
-
-    if let Some(baseline_path) = check {
-        let baseline = std::fs::read_to_string(&baseline_path)
-            .unwrap_or_else(|e| panic!("read baseline {}: {e}", baseline_path.display()));
-        let expected = extract_number(&baseline, "normalized_scan_per_trial")
-            .expect("baseline lacks normalized_scan_per_trial");
-        let limit = expected * (1.0 + REGRESSION_TOLERANCE);
-        eprintln!(
-            "bench4: calibrated scan cost {normalized_scan:.4} vs baseline {expected:.4} \
-             (limit {limit:.4})"
-        );
-        if normalized_scan > limit {
-            eprintln!(
-                "bench4: FAIL — scan path regressed {:.0}% (> {:.0}% tolerated)",
-                (normalized_scan / expected - 1.0) * 100.0,
-                REGRESSION_TOLERANCE * 100.0
-            );
-            std::process::exit(1);
-        }
-        eprintln!("bench4: scan path within tolerance");
-    }
+    args.write("bench4", "BENCH_4.json", &json);
+    let gate = Some(normalized_scan);
+    args.check("bench4", "calibrated scan cost", "normalized_scan_per_trial", gate);
 }

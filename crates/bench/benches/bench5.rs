@@ -28,13 +28,9 @@
 //! with the sub-quadratic footprint assertion.
 
 use lopacity::{AnonymizeConfig, Anonymizer, Parallelism, Removal, StoreBackend, TypeSpec};
+use lopacity_bench::harness::{calibration_unit_secs, json_f, min_secs, BenchArgs};
 use lopacity_gen::er::gnm;
 use lopacity_graph::Graph;
-use std::hint::black_box;
-use std::time::Instant;
-
-/// Tolerated slowdown of the calibrated gate metric vs the baseline.
-const REGRESSION_TOLERANCE: f64 = 0.20;
 
 /// Sparse rows must stay below this fraction of the dense *packed*
 /// (`n²/4`-byte) footprint — the sub-quadratic scale gate. The acceptance
@@ -75,38 +71,6 @@ const SMOKE_ROWS: &[Row] = &[
 
 const SCALE_SMOKE_ROWS: &[Row] =
     &[Row { n: 50_000, backend: StoreBackend::Sparse, max_trials: 10_000, repeats: 2 }];
-
-/// Minimum over `repeats` timed runs — the classical low-noise estimator
-/// for a deterministic workload (disturbances only ever add time).
-fn min_secs(repeats: usize, mut f: impl FnMut()) -> f64 {
-    (0..repeats)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_secs_f64()
-        })
-        .fold(f64::INFINITY, f64::min)
-}
-
-/// Fixed synthetic kernel: 64 MB of xorshift-mixed u64 sums — the same
-/// per-machine "speed unit" `bench4` normalizes by.
-fn calibration_unit_secs() -> f64 {
-    min_secs(7, || {
-        let mut x = 0x9E3779B97F4A7C15u64;
-        let mut acc = 0u64;
-        let mut buf = vec![0u64; 1 << 20];
-        for round in 0..8u64 {
-            for slot in buf.iter_mut() {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                *slot = slot.wrapping_add(x ^ round);
-                acc = acc.wrapping_add(*slot);
-            }
-        }
-        black_box(acc);
-    })
-}
 
 struct Measurement {
     build_secs: f64,
@@ -160,50 +124,9 @@ fn measure(g: &Graph, row: &Row) -> Measurement {
     }
 }
 
-fn json_f(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.9}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Extracts `"key": <number>` from flat-enough JSON (no JSON dependency in
-/// the workspace).
-fn extract_number(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let at = json.find(&needle)?;
-    let rest = &json[at + needle.len()..];
-    let colon = rest.find(':')?;
-    let tail = rest[colon + 1..].trim_start();
-    let end = tail
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-        .unwrap_or(tail.len());
-    tail[..end].parse().ok()
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut scale = "full";
-    let mut out_dir = std::path::PathBuf::from("results");
-    let mut check: Option<std::path::PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--scale" => match it.next().map(String::as_str) {
-                Some(s @ ("smoke" | "scale-smoke" | "full")) => scale = match s {
-                    "smoke" => "smoke",
-                    "scale-smoke" => "scale-smoke",
-                    _ => "full",
-                },
-                other => panic!("--scale takes smoke|scale-smoke|full, got {other:?}"),
-            },
-            "--out" => out_dir = it.next().expect("--out takes a directory").into(),
-            "--check" => check = Some(it.next().expect("--check takes a file").into()),
-            // `cargo bench` forwards its own filter/flag arguments; ignore.
-            _ => {}
-        }
-    }
+    let args = BenchArgs::from_env(&["smoke", "scale-smoke", "full"], "full");
+    let scale = args.scale;
     let rows: &[Row] = match scale {
         "smoke" => SMOKE_ROWS,
         "scale-smoke" => SCALE_SMOKE_ROWS,
@@ -321,31 +244,7 @@ fn main() {
         gate_metric.map(json_f).unwrap_or_else(|| "null".into()),
         ball_scaling.map(json_f).unwrap_or_else(|| "null".into()),
     );
-    std::fs::create_dir_all(&out_dir).expect("create output directory");
-    let path = out_dir.join("BENCH_5.json");
-    std::fs::write(&path, &json).expect("write BENCH_5.json");
-    eprintln!("bench5: wrote {}", path.display());
-
-    if let Some(baseline_path) = check {
-        let gate = gate_metric
-            .expect("--check needs the n=10⁴ sparse gate row (scales smoke or full)");
-        let baseline = std::fs::read_to_string(&baseline_path)
-            .unwrap_or_else(|e| panic!("read baseline {}: {e}", baseline_path.display()));
-        let expected = extract_number(&baseline, "normalized_per_trial_gate")
-            .expect("baseline lacks normalized_per_trial_gate");
-        let limit = expected * (1.0 + REGRESSION_TOLERANCE);
-        eprintln!(
-            "bench5: calibrated per-trial cost {gate:.5} vs baseline {expected:.5} \
-             (limit {limit:.5})"
-        );
-        if gate > limit {
-            eprintln!(
-                "bench5: FAIL — sparse scan path regressed {:.0}% (> {:.0}% tolerated)",
-                (gate / expected - 1.0) * 100.0,
-                REGRESSION_TOLERANCE * 100.0
-            );
-            std::process::exit(1);
-        }
-        eprintln!("bench5: sparse scan path within tolerance");
-    }
+    args.write("bench5", "BENCH_5.json", &json);
+    let what = "calibrated sparse per-trial cost";
+    args.check("bench5", what, "normalized_per_trial_gate", gate_metric);
 }

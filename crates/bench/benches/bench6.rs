@@ -33,15 +33,13 @@ use lopacity::{
     AnonymizeConfig, Anonymizer, ChurnSession, EdgeEvent, Parallelism, Removal, StoreBackend,
     TypeSpec,
 };
+use lopacity_bench::harness::{calibration_unit_secs, json_f, min_secs, BenchArgs};
 use lopacity_gen::er::gnm;
 use lopacity_graph::Edge;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::hint::black_box;
 use std::time::Instant;
-
-/// Tolerated slowdown of the calibrated gate metric vs the baseline.
-const REGRESSION_TOLERANCE: f64 = 0.20;
 
 /// The headline gate at the full scale: detect-the-violation + repair it
 /// incrementally must be at least this many times cheaper than a fresh
@@ -68,36 +66,6 @@ struct Row {
 
 const FULL_ROWS: &[Row] = &[Row { n: 10_000, random_events: 500, gate_speedup: true }];
 const SMOKE_ROWS: &[Row] = &[Row { n: 2_000, random_events: 300, gate_speedup: false }];
-
-fn min_secs(repeats: usize, mut f: impl FnMut()) -> f64 {
-    (0..repeats)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_secs_f64()
-        })
-        .fold(f64::INFINITY, f64::min)
-}
-
-/// Fixed synthetic kernel: 64 MB of xorshift-mixed u64 sums — the same
-/// per-machine "speed unit" `bench4`/`bench5` normalize by.
-fn calibration_unit_secs() -> f64 {
-    min_secs(7, || {
-        let mut x = 0x9E3779B97F4A7C15u64;
-        let mut acc = 0u64;
-        let mut buf = vec![0u64; 1 << 20];
-        for round in 0..8u64 {
-            for slot in buf.iter_mut() {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                *slot = slot.wrapping_add(x ^ round);
-                acc = acc.wrapping_add(*slot);
-            }
-        }
-        black_box(acc);
-    })
-}
 
 struct Measurement {
     naive_detect_secs: f64,
@@ -225,47 +193,9 @@ fn measure(row: &Row) -> Measurement {
     }
 }
 
-fn json_f(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.9}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Extracts `"key": <number>` from flat-enough JSON (no JSON dependency in
-/// the workspace).
-fn extract_number(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let at = json.find(&needle)?;
-    let rest = &json[at + needle.len()..];
-    let colon = rest.find(':')?;
-    let tail = rest[colon + 1..].trim_start();
-    let end = tail
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-        .unwrap_or(tail.len());
-    tail[..end].parse().ok()
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut scale = "full";
-    let mut out_dir = std::path::PathBuf::from("results");
-    let mut check: Option<std::path::PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--scale" => match it.next().map(String::as_str) {
-                Some("smoke") => scale = "smoke",
-                Some("full") => scale = "full",
-                other => panic!("--scale takes smoke|full, got {other:?}"),
-            },
-            "--out" => out_dir = it.next().expect("--out takes a directory").into(),
-            "--check" => check = Some(it.next().expect("--check takes a file").into()),
-            // `cargo bench` forwards its own filter/flag arguments; ignore.
-            _ => {}
-        }
-    }
+    let args = BenchArgs::from_env(&["smoke", "full"], "full");
+    let scale = args.scale;
     let rows: &[Row] = if scale == "smoke" { SMOKE_ROWS } else { FULL_ROWS };
 
     let calib = calibration_unit_secs();
@@ -347,30 +277,6 @@ fn main() {
         row_json.join(",\n"),
         gate_metric.map(json_f).unwrap_or_else(|| "null".into()),
     );
-    std::fs::create_dir_all(&out_dir).expect("create output directory");
-    let path = out_dir.join("BENCH_6.json");
-    std::fs::write(&path, &json).expect("write BENCH_6.json");
-    eprintln!("bench6: wrote {}", path.display());
-
-    if let Some(baseline_path) = check {
-        let gate = gate_metric.expect("--check needs at least one measured row");
-        let baseline = std::fs::read_to_string(&baseline_path)
-            .unwrap_or_else(|e| panic!("read baseline {}: {e}", baseline_path.display()));
-        let expected = extract_number(&baseline, "normalized_detect_gate")
-            .expect("baseline lacks normalized_detect_gate");
-        let limit = expected * (1.0 + REGRESSION_TOLERANCE);
-        eprintln!(
-            "bench6: calibrated detect latency {gate:.6} vs baseline {expected:.6} \
-             (limit {limit:.6})"
-        );
-        if gate > limit {
-            eprintln!(
-                "bench6: FAIL — violation-detect path regressed {:.0}% (> {:.0}% tolerated)",
-                (gate / expected - 1.0) * 100.0,
-                REGRESSION_TOLERANCE * 100.0
-            );
-            std::process::exit(1);
-        }
-        eprintln!("bench6: violation-detect path within tolerance");
-    }
+    args.write("bench6", "BENCH_6.json", &json);
+    args.check("bench6", "calibrated detect latency", "normalized_detect_gate", gate_metric);
 }

@@ -14,9 +14,10 @@
 //!
 //! The CSV is the durable record (append-only, merged across runs when CI
 //! restores a previous artifact); the markdown is derived from it on every
-//! invocation. No JSON dependency: the parser below is a ~100-line
-//! recursive-descent reader for the subset the bench writers emit.
+//! invocation. No JSON dependency: the files are read with
+//! [`lopacity_bench::harness::parse_json`], the bench gates' reader.
 
+use lopacity_bench::harness::{parse_json, Json};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -32,199 +33,6 @@ OPTIONS:
     --dir DIR      output directory for TREND.csv / TREND.md (default 'results')
     --keep N       newest labels to show per table in TREND.md (default 8)
 ";
-
-// ---------------------------------------------------------------------
-// Minimal JSON reader (objects, arrays, strings, numbers, bools, null).
-// ---------------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(text: &'a str) -> Self {
-        Reader { bytes: text.as_bytes(), pos: 0 }
-    }
-
-    fn error(&self, what: &str) -> String {
-        format!("{what} at byte {}", self.pos)
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), String> {
-        if self.peek() == Some(byte) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.error(&format!("expected {:?}", byte as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek().ok_or_else(|| self.error("unexpected end"))? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Ok(Json::Str(self.string()?)),
-            b't' | b'f' | b'n' => self.keyword(),
-            _ => self.number(),
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            fields.push((key, self.value()?));
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(self.error("expected ',' or '}'")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.error("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos).copied() {
-                None => return Err(self.error("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.bytes.get(self.pos).copied();
-                    self.pos += 1;
-                    match esc {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| self.error("bad \\u escape"))?;
-                            self.pos += 4;
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                        }
-                        _ => return Err(self.error("bad escape")),
-                    }
-                }
-                Some(byte) => {
-                    // Multi-byte UTF-8 sequences pass through unchanged.
-                    let len = match byte {
-                        _ if byte < 0x80 => 1,
-                        _ if byte >= 0xf0 => 4,
-                        _ if byte >= 0xe0 => 3,
-                        _ => 2,
-                    };
-                    let chunk = self
-                        .bytes
-                        .get(self.pos..self.pos + len)
-                        .and_then(|c| std::str::from_utf8(c).ok())
-                        .ok_or_else(|| self.error("bad utf-8"))?;
-                    out.push_str(chunk);
-                    self.pos += len;
-                }
-            }
-        }
-    }
-
-    fn keyword(&mut self) -> Result<Json, String> {
-        for (word, value) in
-            [("true", Json::Bool(true)), ("false", Json::Bool(false)), ("null", Json::Null)]
-        {
-            if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-                self.pos += word.len();
-                return Ok(value);
-            }
-        }
-        Err(self.error("unknown keyword"))
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .map(Json::Num)
-            .ok_or_else(|| self.error("bad number"))
-    }
-}
-
-fn parse_json(text: &str) -> Result<Json, String> {
-    let mut reader = Reader::new(text);
-    let value = reader.value()?;
-    reader.skip_ws();
-    if reader.pos != reader.bytes.len() {
-        return Err(reader.error("trailing garbage"));
-    }
-    Ok(value)
-}
 
 // ---------------------------------------------------------------------
 // Flattening: numeric leaves become dotted-path metrics.

@@ -10,6 +10,7 @@
 //! Xeon cluster; datasets are the calibrated synthetic stand-ins of
 //! `lopacity-gen` (DESIGN.md §6).
 
+pub mod harness;
 pub mod methods;
 pub mod output;
 pub mod scale;

@@ -16,11 +16,12 @@
 //! lopacify opacity   --in graph.txt --l 2 [--original orig.txt]
 //! lopacify stats     --in graph.txt
 //! lopacify generate  --dataset google --n 500 --out graph.txt [--seed N]
-//! lopacify serve     [--addr HOST:PORT] [--workers N] [--queue N] [--job-ttl SECS] [--state-dir DIR]
-//!          [--job-mem-budget BYTES] [--mem-budget BYTES] [--job-deadline SECS]
+//! lopacify serve     [lopacityd OPTIONS]   (the table: lopacify serve --help)
 //! lopacify submit    --spec FILE [--addr HOST:PORT] [--ikey KEY] [--wait] [--out FILE]
 //!          [--retries N] [--seed N]
 //! ```
+//!
+//! A flag the subcommand does not take is a usage error (exit 1).
 //!
 //! Graphs are whitespace-separated edge lists (SNAP format); `#`/`%` lines
 //! are comments. `anonymize` prints the run report to stderr and writes the
@@ -46,7 +47,9 @@ use lopacity::{
 };
 use lopacity_baselines::{gaded_max, gaded_rand, gades, Gades, GadedMax, GadedRand};
 use lopacity_models::{run_comparison, CompareSpec, KDegreeAnonymity, KLAdjacencyAnonymity};
-use lopacity_daemon::{Daemon, DaemonConfig};
+use lopacity_daemon::config::usage;
+use lopacity_daemon::server::boot_and_serve;
+use lopacity_daemon::DaemonConfig;
 use lopacity_gen::Dataset;
 use lopacity_graph::{io as gio, Graph, GraphError};
 use lopacity_metrics::{GraphStats, UtilityReport};
@@ -79,24 +82,59 @@ impl From<&str> for CliError {
 fn main() {
     let args = Args::from_env();
     let command = args.positional(0).unwrap_or("").to_string();
-    let result: Result<(), CliError> = match command.as_str() {
+    if args.has_flag("help") {
+        match command.as_str() {
+            "serve" => print!("{}", usage("lopacify serve")),
+            _ => eprint!("{USAGE}"),
+        }
+        return;
+    }
+    let result = check_flags(&args, &command).and_then(|()| match command.as_str() {
         "anonymize" => anonymize(&args).map_err(CliError::from),
         "compare" => compare(&args),
         "churn" => churn(&args),
-        "serve" => serve(&args).map_err(CliError::from),
+        "serve" => DaemonConfig::from_args(&args)
+            .and_then(|config| boot_and_serve(&config))
+            .map_err(CliError::from),
         "submit" => submit(&args),
         "opacity" => opacity(&args).map_err(CliError::from),
         "stats" => stats(&args).map_err(CliError::from),
         "generate" => generate(&args).map_err(CliError::from),
-        "" | "help" | "--help" => {
+        "" | "help" => {
             eprint!("{}", USAGE);
             Ok(())
         }
         other => Err(CliError::from(format!("unknown command {other:?}\n{USAGE}"))),
-    };
+    });
     if let Err(e) = result {
         eprintln!("error: {}", e.message);
         std::process::exit(e.code);
+    }
+}
+
+/// Rejects a flag `command` does not take (`serve` checks its own, in
+/// [`DaemonConfig::from_args`]).
+fn check_flags(args: &Args, command: &str) -> Result<(), CliError> {
+    let known: &[&str] = match command {
+        "anonymize" => &[
+            "in", "out", "l", "theta", "method", "k", "ell", "lookahead", "seed", "max-steps",
+            "max-edits", "parallelism", "store", "sweep-mode",
+        ],
+        "compare" => {
+            &["in", "json", "csv", "l", "theta", "k", "ell", "budget", "ls", "seed", "store"]
+        }
+        "churn" => &[
+            "in", "events", "out", "l", "theta", "method", "batch", "seed", "parallelism", "store",
+        ],
+        "opacity" => &["in", "l", "original", "theta"],
+        "stats" => &["in"],
+        "generate" => &["dataset", "n", "out", "seed"],
+        "submit" => &["spec", "addr", "ikey", "wait", "out", "retries", "seed"],
+        _ => return Ok(()),
+    };
+    match args.unknown_keys(known).first() {
+        Some(flag) => Err(format!("unknown option --{flag} for {command} (see --help)").into()),
+        None => Ok(()),
     }
 }
 
@@ -156,23 +194,13 @@ commands:
   generate  --dataset D --n N --out FILE [--seed N]
             datasets: google, berkeley-stanford, epinions, enron, gnutella,
                       acm, wikipedia
-  serve     [--addr HOST:PORT] [--workers N] [--queue N] [--job-ttl SECS]
-            [--state-dir DIR] [--job-mem-budget BYTES] [--mem-budget BYTES]
-            [--job-deadline SECS]
-            starts lopacityd, the anonymization daemon: jobs over HTTP with
-            progress streaming, cooperative cancellation, per-job budgets,
-            a shared (graph, L, engine) evaluator cache, and held churn
-            sessions (defaults: 127.0.0.1:7311, 2 workers, queue 32);
-            --job-ttl drops finished jobs SECS after completion (default:
-            keep forever); --state-dir keeps a durable job journal so
-            interrupted jobs resume byte-identically on the next boot;
-            --job-mem-budget refuses specs whose predicted distance-store
-            footprint exceeds BYTES with 413 before any build;
-            --mem-budget caps the summed prediction across queued+running
-            jobs (429 + Retry-After past it); --job-deadline stops jobs
-            at their next cooperative checkpoint SECS after they start
-            (SIGTERM drains and exits 0; see lopacityd --help for the
-            full robustness knobs: --fault, --backlog-bytes, ...)
+  serve     [lopacityd OPTIONS]
+            starts lopacityd, the anonymization daemon, in-process: jobs
+            over HTTP with progress streaming, cooperative cancellation,
+            per-job budgets, a shared evaluator cache, held churn sessions
+            and a durable journal (SIGTERM drains and exits 0); takes
+            exactly lopacityd's flags with the same defaults, listed by
+            `lopacify serve --help`
   submit    --spec FILE [--addr HOST:PORT] [--ikey KEY] [--wait]
             [--out FILE] [--retries N] [--seed N]
             submits a job spec file (see the lopacity-daemon crate docs
@@ -632,53 +660,6 @@ fn generate(args: &Args) -> Result<(), String> {
         graph.num_vertices(),
         graph.num_edges()
     );
-    Ok(())
-}
-
-/// Boots `lopacityd` in-process and serves until killed. The daemon crate
-/// also ships a standalone `lopacityd` binary with the same knobs.
-fn serve(args: &Args) -> Result<(), String> {
-    let defaults = DaemonConfig::default();
-    let config = DaemonConfig {
-        addr: args.get("addr").unwrap_or(&defaults.addr).to_string(),
-        workers: args.get_or("workers", defaults.workers)?,
-        queue_capacity: args.get_or("queue", defaults.queue_capacity)?,
-        job_ttl_secs: match args.get("job-ttl") {
-            None => None,
-            Some(raw) => Some(
-                raw.parse().map_err(|_| format!("--job-ttl: {raw:?} is not a seconds count"))?,
-            ),
-        },
-        state_dir: args.get("state-dir").map(std::path::PathBuf::from),
-        job_mem_budget: match args.get("job-mem-budget") {
-            None => None,
-            Some(raw) => Some(
-                raw.parse()
-                    .map_err(|_| format!("--job-mem-budget: {raw:?} is not a byte count"))?,
-            ),
-        },
-        mem_budget: match args.get("mem-budget") {
-            None => None,
-            Some(raw) => Some(
-                raw.parse().map_err(|_| format!("--mem-budget: {raw:?} is not a byte count"))?,
-            ),
-        },
-        job_deadline_secs: match args.get("job-deadline") {
-            None => None,
-            Some(raw) => Some(
-                raw.parse()
-                    .map_err(|_| format!("--job-deadline: {raw:?} is not a seconds count"))?,
-            ),
-        },
-        ..defaults
-    };
-    let daemon = Daemon::bind(&config).map_err(|e| format!("bind {}: {e}", config.addr))?;
-    println!("lopacityd listening on {}", daemon.addr());
-    println!("workers {} queue {}", config.workers.max(1), config.queue_capacity);
-    if let Some(dir) = &config.state_dir {
-        println!("state-dir {}", dir.display());
-    }
-    lopacity_daemon::server::serve_until_term(daemon);
     Ok(())
 }
 

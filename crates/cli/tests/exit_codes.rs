@@ -133,6 +133,40 @@ fn lost_theta_after_repair_exits_3() {
     assert_eq!(status.code(), Some(3), "uncertified end of stream reports lost θ");
 }
 
+/// A misspelt flag is a usage error that names the flag — never a run
+/// with the flag silently dropped (`--max-step 1` once ran every step).
+#[test]
+fn unknown_flags_exit_1_and_are_named() {
+    let graph = scratch("typo-graph", TRIANGLE);
+    for typo in ["--max-step", "--paralelism"] {
+        let output = lopacify()
+            .args(["anonymize", "--l", "1", "--theta", "1.0", typo, "4"])
+            .arg("--in")
+            .arg(&graph)
+            .arg("--out")
+            .arg(out_path("typo"))
+            .output()
+            .expect("run lopacify");
+        assert_eq!(output.status.code(), Some(1), "{typo} is a usage error");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains(typo), "the error names {typo}: {stderr}");
+    }
+    // `serve` takes exactly lopacityd's flags, and its fault plans must
+    // name real sites; both fail before anything binds.
+    for (flag, value, named) in
+        [("--max-bodyy", "64", "--max-bodyy"), ("--fault", "bogus-site:1", "bogus-site")]
+    {
+        let output = lopacify().args(["serve", flag, value]).output().expect("run lopacify");
+        assert_eq!(output.status.code(), Some(1), "serve {flag} {value}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains(named), "the error names {named}: {stderr}");
+    }
+    // Help still works on every subcommand.
+    let output = lopacify().args(["anonymize", "--help"]).output().expect("run lopacify");
+    assert!(output.status.success());
+    assert!(String::from_utf8_lossy(&output.stderr).contains("exit codes:"));
+}
+
 #[test]
 fn help_lists_the_exit_codes() {
     let output = lopacify().arg("help").output().expect("run lopacify");
@@ -340,4 +374,59 @@ fn submit_wait_with_theta_lost_exits_3() {
         .expect("run lopacify");
     assert_eq!(status.code(), Some(3), "theta lost over the wire is still exit 3");
     daemon.shutdown();
+}
+
+// `lopacify serve` is `lopacityd` in-process: the same flag parser, the
+// same option table.
+
+/// A `lopacify serve` child, killed when dropped. Its stdout stays open
+/// so the startup lines after the announcement never hit a closed pipe.
+struct Serve(std::process::Child, std::io::BufReader<std::process::ChildStdout>);
+
+impl Drop for Serve {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// Boots `lopacify serve` with `flags` on a free port and returns it
+/// with the address it announced.
+fn serve(flags: &[&str]) -> (Serve, String) {
+    use std::io::BufRead;
+    let mut child = lopacify()
+        .args(["serve", "--addr", "127.0.0.1:0"])
+        .args(flags)
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn lopacify serve");
+    let stdout = std::io::BufReader::new(child.stdout.take().expect("piped stdout"));
+    let mut serve = Serve(child, stdout);
+    let mut first = String::new();
+    serve.1.read_line(&mut first).expect("read the announcement");
+    let addr = first
+        .trim()
+        .strip_prefix("lopacityd listening on ")
+        .unwrap_or_else(|| panic!("unexpected first line {first:?}"))
+        .to_string();
+    (serve, addr)
+}
+
+#[test]
+fn serve_enforces_max_body() {
+    use std::io::{Read, Write};
+    let (_serve, addr) = serve(&["--max-body", "64"]);
+    // A valid spec padded to 200 bytes with a comment line.
+    let job = "mode anonymize\nl 1\ntheta 1.0\ngraph gnm 12 20 3\n";
+    let body = format!("# {}\n{job}", "x".repeat(200 - 3 - job.len()));
+    assert_eq!(body.len(), 200);
+    let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
+    stream.set_read_timeout(Some(std::time::Duration::from_secs(20))).unwrap();
+    let request = format!(
+        "POST /jobs HTTP/1.1\r\nConnection: close\r\nContent-Length: 200\r\n\r\n{body}"
+    );
+    stream.write_all(request.as_bytes()).expect("send");
+    let mut reply = String::new();
+    stream.read_to_string(&mut reply).expect("read the reply");
+    assert!(reply.starts_with("HTTP/1.1 400 "), "a 200-byte body over --max-body 64: {reply}");
 }

@@ -124,9 +124,9 @@
 //! * [`evaluator`] — an incremental trial/apply/undo opacity evaluator that
 //!   makes the greedy heuristics tractable (property-tested equal to full
 //!   recomputation);
-//! * [`removal`] / [`removal_insertion`] — the deprecated free-function
-//!   wrappers for Algorithms 4/5 (bit-for-bit equal to the session API)
-//!   plus the sharded move-selection machinery;
+//! * [`removal`] — the sharded move-selection machinery Algorithms 4/5
+//!   share (the algorithms themselves are [`Removal`] and
+//!   [`RemovalInsertion`], run through a session);
 //! * [`optimal`] — exact minimum-removal search for small instances;
 //! * [`config`] / [`result`] — tuning knobs and rich run reports.
 
@@ -141,7 +141,8 @@ pub mod opacity;
 pub mod optimal;
 pub mod progress;
 pub mod removal;
-pub mod removal_insertion;
+#[cfg(test)]
+mod removal_insertion;
 pub mod result;
 pub mod session;
 pub mod strategy;
@@ -164,11 +165,6 @@ pub use strategy::{
     drive_greedy, ExactMinRemovals, GreedyPolicy, MoveKind, Removal, RemovalInsertion, Strategy,
 };
 pub use types::{TypeSpec, TypeSystem};
-
-#[allow(deprecated)]
-pub use removal::edge_removal;
-#[allow(deprecated)]
-pub use removal_insertion::edge_removal_insertion;
 
 #[cfg(test)]
 mod send_assertions {

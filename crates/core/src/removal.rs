@@ -1,8 +1,7 @@
 //! Algorithm 4: greedy **Edge Removal** with look-ahead — the shared
-//! move-selection machinery, plus the deprecated free-function entry point
-//! (the maintained surface is [`crate::Anonymizer`] running
+//! move-selection machinery. Runs go through [`crate::Anonymizer`] with
 //! [`crate::strategy::Removal`]; the greedy loop itself lives in
-//! [`crate::strategy::drive_greedy`]).
+//! [`crate::strategy::drive_greedy`].
 //!
 //! Each step evaluates the removal of every candidate edge, choosing the
 //! move that minimizes `(maxLO, N(maxLO))` lexicographically; exact ties
@@ -38,11 +37,9 @@ use crate::config::{AnonymizeConfig, LookaheadMode};
 use crate::evaluator::OpacityEvaluator;
 use crate::forks::ForkSet;
 use crate::lo::LoAssessment;
-use crate::result::AnonymizationOutcome;
 use crate::strategy::MoveKind;
 use crate::tracker::{BestTracker, TieBreak};
-use crate::types::TypeSpec;
-use lopacity_graph::{Edge, Graph};
+use lopacity_graph::Edge;
 use lopacity_util::{pool, Parallelism};
 use rand::rngs::StdRng;
 
@@ -355,32 +352,20 @@ pub(crate) fn choose_move(
     }
 }
 
-/// **Algorithm 4**: anonymize `graph` by greedy edge removal until
-/// `maxLO <= θ` (or candidates/steps run out).
-///
-/// Thin compatibility wrapper over the session API; the output is
-/// bit-for-bit identical (asserted in `tests/tests/session_api.rs`), but a
-/// session amortizes the evaluator build across runs and sweeps.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Anonymizer::new(graph, spec).config(*config).run(Removal)` — identical output, \
-            reusable APSP build"
-)]
-pub fn edge_removal(
-    graph: &Graph,
-    spec: &TypeSpec,
-    config: &AnonymizeConfig,
-) -> AnonymizationOutcome {
-    crate::session::Anonymizer::new(graph, spec)
-        .config(*config)
-        .run_once(crate::strategy::Removal)
-}
-
 #[cfg(test)]
-#[allow(deprecated)] // pins the wrapper's behavior, not the session's
 mod tests {
     use super::*;
     use crate::opacity::opacity_report;
+    use crate::result::AnonymizationOutcome;
+    use crate::session::Anonymizer;
+    use crate::strategy::Removal;
+    use crate::types::TypeSpec;
+    use lopacity_graph::Graph;
+
+    /// One standalone Algorithm 4 run: a session consumed by `run_once`.
+    fn run_removal(graph: &Graph, config: &AnonymizeConfig) -> AnonymizationOutcome {
+        Anonymizer::new(graph, &TypeSpec::DegreePairs).config(*config).run_once(Removal)
+    }
 
     fn paper_graph() -> Graph {
         Graph::from_edges(
@@ -394,7 +379,7 @@ mod tests {
     fn achieves_theta_on_paper_graph_l1() {
         let original = paper_graph();
         let config = AnonymizeConfig::new(1, 0.5).with_seed(1);
-        let out = edge_removal(&original, &TypeSpec::DegreePairs, &config);
+        let out = run_removal(&original, &config);
         assert!(out.achieved, "{out}");
         assert!(out.inserted.is_empty());
         let report = crate::opacity::opacity_report_against_original(
@@ -409,7 +394,7 @@ mod tests {
     #[test]
     fn theta_one_needs_no_work() {
         let config = AnonymizeConfig::new(1, 1.0);
-        let out = edge_removal(&paper_graph(), &TypeSpec::DegreePairs, &config);
+        let out = run_removal(&paper_graph(), &config);
         assert!(out.achieved);
         assert_eq!(out.steps, 0);
         assert_eq!(out.graph, paper_graph());
@@ -419,7 +404,7 @@ mod tests {
     fn theta_zero_empties_typed_linkage() {
         // θ = 0 demands no typed pair within L at all.
         let config = AnonymizeConfig::new(1, 0.0).with_seed(3);
-        let out = edge_removal(&paper_graph(), &TypeSpec::DegreePairs, &config);
+        let out = run_removal(&paper_graph(), &config);
         assert!(out.achieved);
         assert_eq!(out.graph.num_edges(), 0, "every edge is a within-1 typed pair");
     }
@@ -431,7 +416,7 @@ mod tests {
         // graph may legitimately differ.
         let config = AnonymizeConfig::new(1, 0.4).with_seed(5);
         let original = paper_graph();
-        let out = edge_removal(&original, &TypeSpec::DegreePairs, &config);
+        let out = run_removal(&original, &config);
         let frozen = crate::types::TypeSystem::build(&original, &TypeSpec::DegreePairs);
         let dist = lopacity_apsp::ApspEngine::TruncatedBfs.compute(&out.graph, 1);
         let counts = crate::opacity::count_within_l(&dist, &frozen, 1);
@@ -442,15 +427,15 @@ mod tests {
     #[test]
     fn removal_is_deterministic_per_seed() {
         let config = AnonymizeConfig::new(1, 0.3).with_seed(11);
-        let a = edge_removal(&paper_graph(), &TypeSpec::DegreePairs, &config);
-        let b = edge_removal(&paper_graph(), &TypeSpec::DegreePairs, &config);
+        let a = run_removal(&paper_graph(), &config);
+        let b = run_removal(&paper_graph(), &config);
         assert_eq!(a.removed, b.removed);
     }
 
     #[test]
     fn max_steps_caps_the_run() {
         let config = AnonymizeConfig::new(1, 0.0).with_max_steps(2);
-        let out = edge_removal(&paper_graph(), &TypeSpec::DegreePairs, &config);
+        let out = run_removal(&paper_graph(), &config);
         assert!(!out.achieved);
         assert_eq!(out.steps, 2);
         assert_eq!(out.removed.len(), 2);
@@ -459,10 +444,9 @@ mod tests {
     #[test]
     fn lookahead_two_explores_more() {
         let base = AnonymizeConfig::new(2, 0.3).with_seed(2);
-        let out1 = edge_removal(&paper_graph(), &TypeSpec::DegreePairs, &base);
-        let out2 = edge_removal(
+        let out1 = run_removal(&paper_graph(), &base);
+        let out2 = run_removal(
             &paper_graph(),
-            &TypeSpec::DegreePairs,
             &base.with_lookahead(2).with_mode(LookaheadMode::Exhaustive),
         );
         assert!(out2.trials >= out1.trials);
@@ -472,7 +456,7 @@ mod tests {
     #[test]
     fn l2_respects_two_hop_linkage() {
         let config = AnonymizeConfig::new(2, 0.5).with_seed(7);
-        let out = edge_removal(&paper_graph(), &TypeSpec::DegreePairs, &config);
+        let out = run_removal(&paper_graph(), &config);
         assert!(out.achieved);
         let report = opacity_report(&out.graph, &TypeSpec::DegreePairs, 2);
         // Note: report re-derives types from the anonymized graph's degrees;
@@ -535,7 +519,7 @@ mod tests {
     #[test]
     fn empty_graph_is_instantly_opaque() {
         let g = Graph::new(5);
-        let out = edge_removal(&g, &TypeSpec::DegreePairs, &AnonymizeConfig::new(1, 0.0));
+        let out = run_removal(&g, &AnonymizeConfig::new(1, 0.0));
         assert!(out.achieved);
         assert_eq!(out.steps, 0);
     }

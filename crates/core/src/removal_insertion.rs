@@ -1,57 +1,21 @@
-//! Algorithm 5: greedy **Edge Removal/Insertion** — deprecated
-//! free-function entry point.
-//!
-//! Each iteration performs one removal phase followed by one insertion
-//! phase — the insertion counter-balances the removal, keeping the edge
-//! count of the published graph equal to the original's (with `la = 1`).
-//! To prevent oscillation, an edge that has been inserted is never removed
-//! again, and a removed edge is never re-inserted (the paper's `E_D`/`E_A`
-//! bookkeeping); both sets grow monotonically, which also bounds the loop.
-//!
-//! With look-ahead `la > 1`, each phase independently explores multi-edge
-//! combinations (the paper only states the extension is "analogous" to
-//! Algorithm 4's; under multi-edge moves the phases may transiently differ
-//! in size, so exact edge-count preservation is guaranteed for `la = 1`).
-//!
-//! The algorithm itself lives in [`crate::strategy::RemovalInsertion`]
-//! (the two phases as a [`crate::strategy::GreedyPolicy`], with the
-//! `E_D`/`E_A` sets hoisted into strategy state) driven by the single
-//! greedy loop of [`crate::strategy::drive_greedy`]; both phases route
-//! their candidate scans through the same sharded move-selection path as
-//! Algorithm 4 (see the scan-shard/merge notes in [`crate::removal`]),
-//! with the same bit-for-bit sequential-equivalence guarantee under
-//! [`crate::config::AnonymizeConfig::parallelism`].
+//! Unit tests of Algorithm 5 ([`crate::strategy::RemovalInsertion`]),
+//! each a standalone session run.
 
-use crate::config::AnonymizeConfig;
-use crate::result::AnonymizationOutcome;
-use crate::types::TypeSpec;
-use lopacity_graph::Graph;
-
-/// **Algorithm 5**: anonymize `graph` by alternating edge removal and edge
-/// insertion until `maxLO <= θ` (or candidates/steps run out).
-///
-/// Thin compatibility wrapper over the session API; the output is
-/// bit-for-bit identical (asserted in `tests/tests/session_api.rs`).
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Anonymizer::new(graph, spec).config(*config).run(RemovalInsertion::default())` — \
-            identical output, reusable APSP build"
-)]
-pub fn edge_removal_insertion(
-    graph: &Graph,
-    spec: &TypeSpec,
-    config: &AnonymizeConfig,
-) -> AnonymizationOutcome {
-    crate::session::Anonymizer::new(graph, spec)
-        .config(*config)
-        .run_once(crate::strategy::RemovalInsertion::default())
-}
-
-#[cfg(test)]
-#[allow(deprecated)] // pins the wrapper's behavior, not the session's
 mod tests {
-    use super::*;
+    use crate::config::AnonymizeConfig;
     use crate::opacity::opacity_report_against_original;
+    use crate::result::AnonymizationOutcome;
+    use crate::session::Anonymizer;
+    use crate::strategy::RemovalInsertion;
+    use crate::types::TypeSpec;
+    use lopacity_graph::Graph;
+
+    /// One standalone Algorithm 5 run: a session consumed by `run_once`.
+    fn run_removal_insertion(graph: &Graph, config: &AnonymizeConfig) -> AnonymizationOutcome {
+        Anonymizer::new(graph, &TypeSpec::DegreePairs)
+            .config(*config)
+            .run_once(RemovalInsertion::default())
+    }
 
     fn paper_graph() -> Graph {
         Graph::from_edges(
@@ -70,7 +34,7 @@ mod tests {
         // behaviour the paper reports for Rem-Ins on hard instances.
         let original = paper_graph();
         let config = AnonymizeConfig::new(1, 0.5).with_seed(1);
-        let out = edge_removal_insertion(&original, &TypeSpec::DegreePairs, &config);
+        let out = run_removal_insertion(&original, &config);
         assert!(!out.achieved, "θ=0.5 with constant |E| should be infeasible: {out}");
         assert!(out.steps > 0);
     }
@@ -86,7 +50,7 @@ mod tests {
             }
         }
         let config = AnonymizeConfig::new(1, 0.6).with_seed(2);
-        let out = edge_removal_insertion(&original, &TypeSpec::DegreePairs, &config);
+        let out = run_removal_insertion(&original, &config);
         assert!(out.achieved, "{out}");
         let report =
             opacity_report_against_original(&original, &out.graph, &TypeSpec::DegreePairs, 1);
@@ -97,7 +61,7 @@ mod tests {
     fn preserves_edge_count_with_la_1() {
         let original = paper_graph();
         let config = AnonymizeConfig::new(1, 0.5).with_seed(3);
-        let out = edge_removal_insertion(&original, &TypeSpec::DegreePairs, &config);
+        let out = run_removal_insertion(&original, &config);
         if out.achieved && out.removed.len() == out.inserted.len() {
             assert_eq!(out.graph.num_edges(), original.num_edges());
         }
@@ -110,7 +74,7 @@ mod tests {
     fn never_reinserts_removed_or_removes_inserted() {
         let original = paper_graph();
         let config = AnonymizeConfig::new(1, 0.3).with_seed(5);
-        let out = edge_removal_insertion(&original, &TypeSpec::DegreePairs, &config);
+        let out = run_removal_insertion(&original, &config);
         let removed: std::collections::HashSet<_> = out.removed.iter().collect();
         let inserted: std::collections::HashSet<_> = out.inserted.iter().collect();
         assert!(removed.is_disjoint(&inserted), "an edge crossed sides");
@@ -123,7 +87,7 @@ mod tests {
     fn final_graph_matches_edit_lists() {
         let original = paper_graph();
         let config = AnonymizeConfig::new(2, 0.6).with_seed(9);
-        let out = edge_removal_insertion(&original, &TypeSpec::DegreePairs, &config);
+        let out = run_removal_insertion(&original, &config);
         let mut replay = original.clone();
         for e in &out.removed {
             assert!(replay.remove_edge(e.u(), e.v()), "removed edge {e} not present");
@@ -137,19 +101,15 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let config = AnonymizeConfig::new(1, 0.4).with_seed(11);
-        let a = edge_removal_insertion(&paper_graph(), &TypeSpec::DegreePairs, &config);
-        let b = edge_removal_insertion(&paper_graph(), &TypeSpec::DegreePairs, &config);
+        let a = run_removal_insertion(&paper_graph(), &config);
+        let b = run_removal_insertion(&paper_graph(), &config);
         assert_eq!(a.removed, b.removed);
         assert_eq!(a.inserted, b.inserted);
     }
 
     #[test]
     fn theta_one_is_a_no_op() {
-        let out = edge_removal_insertion(
-            &paper_graph(),
-            &TypeSpec::DegreePairs,
-            &AnonymizeConfig::new(1, 1.0),
-        );
+        let out = run_removal_insertion(&paper_graph(), &AnonymizeConfig::new(1, 1.0));
         assert!(out.achieved);
         assert_eq!(out.edits(), 0);
     }
@@ -157,7 +117,7 @@ mod tests {
     #[test]
     fn max_steps_bounds_iterations() {
         let config = AnonymizeConfig::new(1, 0.0).with_max_steps(3);
-        let out = edge_removal_insertion(&paper_graph(), &TypeSpec::DegreePairs, &config);
+        let out = run_removal_insertion(&paper_graph(), &config);
         assert!(out.steps <= 3);
     }
 }

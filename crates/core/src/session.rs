@@ -1,10 +1,10 @@
 //! The [`Anonymizer`] session: one evaluator build, many runs.
 //!
-//! The free functions of [`crate::removal`] / [`crate::removal_insertion`]
-//! rebuild the full APSP distance matrix and per-type counters on every
-//! call — pure waste for the paper's experimental protocol (Figures 8–12),
-//! which sweeps θ and L over the *same* graph. A session builds the
-//! [`OpacityEvaluator`] once and amortizes it:
+//! A session is the entry point to every strategy, Algorithms 4 and 5
+//! included. Rebuilding the full APSP distance matrix and per-type
+//! counters per run would be pure waste for the paper's experimental
+//! protocol (Figures 8–12), which sweeps θ and L over the *same* graph. A
+//! session builds the [`OpacityEvaluator`] once and amortizes it:
 //!
 //! ```
 //! use lopacity::{Anonymizer, AnonymizeConfig, Removal, TypeSpec};
@@ -543,8 +543,7 @@ impl<'a> Anonymizer<'a> {
 
     /// Like [`Anonymizer::run`], but consumes the session and hands the
     /// cached evaluator build itself to the strategy — no defensive clone,
-    /// exactly the cost profile of the historical free functions (which
-    /// are thin wrappers over this). Output is identical to `run`.
+    /// the cost profile of a one-shot run. Output is identical to `run`.
     pub fn run_once<S: Strategy>(mut self, strategy: S) -> AnonymizationOutcome {
         let ev = self.take_prepared();
         self.run_on(ev, strategy)

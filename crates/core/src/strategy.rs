@@ -163,12 +163,24 @@ impl GreedyPolicy for Removal {
     fn committed(&mut self, _phase: usize, _combo: &[Edge]) {}
 }
 
-/// **Algorithm 5** — greedy Edge Removal/Insertion: a removal phase over
-/// edges never previously inserted, then an insertion phase over non-edges
-/// never previously removed. The `E_D`/`E_A` anti-oscillation sets live in
-/// the strategy state (they persist across resumed sweep segments, exactly
-/// like a single long run), and candidate collection writes into the
-/// driver's reused buffer instead of allocating per step.
+/// **Algorithm 5** — greedy Edge Removal/Insertion: each step runs a
+/// removal phase over edges never previously inserted, then an insertion
+/// phase over non-edges never previously removed. The insertion
+/// counter-balances the removal, keeping the published graph's edge count
+/// equal to the original's (with `la = 1`). The paper's `E_D`/`E_A`
+/// anti-oscillation sets live in the strategy state (they persist across
+/// resumed sweep segments, exactly like a single long run); both grow
+/// monotonically, which also bounds the loop. Candidate collection writes
+/// into the driver's reused buffer instead of allocating per step.
+///
+/// With look-ahead `la > 1`, each phase independently explores multi-edge
+/// combinations (the paper only states the extension is "analogous" to
+/// Algorithm 4's; under multi-edge moves the phases may transiently differ
+/// in size, so exact edge-count preservation is guaranteed for `la = 1`).
+/// Both phases scan through the same sharded move-selection path as
+/// Algorithm 4 (see [`crate::removal`]), with the same bit-for-bit
+/// sequential-equivalence guarantee under
+/// [`crate::config::AnonymizeConfig::parallelism`].
 #[derive(Debug, Clone, Default)]
 pub struct RemovalInsertion {
     removed_set: HashSet<Edge>,

@@ -19,12 +19,14 @@
 //!
 //! See `ARCHITECTURE.md` ("Service layer") for the full design.
 
+pub mod config;
 pub mod job;
 pub mod journal;
 pub mod server;
 pub mod state;
 
+pub use config::DaemonConfig;
 pub use job::{GraphSource, JobMode, JobSpec};
 pub use journal::{Journal, Record};
-pub use server::{Daemon, DaemonConfig};
+pub use server::Daemon;
 pub use state::{ChurnError, Job, JobStatus, Phase, ServerState, SubmitError};

@@ -1,143 +1,20 @@
 //! `lopacityd` binary: bind, announce the address, serve until SIGTERM
 //! (graceful drain) or SIGKILL (the journal recovers on the next boot).
 
-use lopacity_daemon::{server::serve_until_term, Daemon, DaemonConfig};
+use lopacity_daemon::config::usage;
+use lopacity_daemon::server::boot_and_serve;
+use lopacity_daemon::DaemonConfig;
 use lopacity_util::Args;
-
-const USAGE: &str = "\
-lopacityd - L-opacity anonymization daemon
-
-USAGE:
-    lopacityd [--addr HOST:PORT] [--workers N] [--queue N] [--job-ttl SECS]
-              [--state-dir DIR] [--checkpoint-every STEPS] [--max-attempts N]
-              [--backlog-bytes N] [--job-mem-budget BYTES] [--mem-budget BYTES]
-              [--job-deadline SECS] [--max-body BYTES] [--io-timeout SECS]
-              [--fault PLAN]
-
-OPTIONS:
-    --addr HOST:PORT   bind address (default 127.0.0.1:7311; port 0 picks a free port)
-    --workers N        job worker threads (default 2)
-    --queue N          queued-job cap; excess submissions get 429 (default 32)
-    --job-ttl SECS     drop finished jobs (results, logs, held churn sessions)
-                       SECS after they finish; counted in the
-                       lopacityd_jobs_expired metric (default: keep forever)
-    --state-dir DIR    durable job journal in DIR/journal.log: submissions,
-                       checkpoints, results. On boot the journal is replayed:
-                       finished jobs restore, interrupted jobs resume from
-                       their last checkpoint with byte-identical results
-                       (default: in-memory only)
-    --checkpoint-every STEPS
-                       journal a resumable snapshot every STEPS greedy steps;
-                       0 disables checkpointing (default 1)
-    --max-attempts N   worker panics tolerated per job before it is
-                       quarantined as failed (default 3)
-    --backlog-bytes N  queued-spec byte budget; when exceeded the oldest
-                       queued jobs are shed and over-budget submissions get
-                       503 + Retry-After (default: no shedding)
-    --job-mem-budget BYTES
-                       per-job predicted-footprint cap: a spec whose
-                       estimated distance-store footprint exceeds it is
-                       refused with 413 before any graph or APSP build
-                       (default: unlimited)
-    --mem-budget BYTES global predicted-footprint budget across queued and
-                       running jobs; submissions past it get 429 +
-                       Retry-After (default: unlimited)
-    --job-deadline SECS
-                       per-job wall-clock deadline, armed when a worker
-                       picks the job up; an expired job stops at its next
-                       cooperative checkpoint as cancelled with
-                       'interrupted deadline' and a certified-prefix
-                       partial result (default: none)
-    --max-body BYTES   request-body cap; larger declared Content-Lengths
-                       get 400 before any body byte is read (default and
-                       hard ceiling: 64 MiB)
-    --io-timeout SECS  per-connection socket read/write deadline — the
-                       slowloris guard; 0 disables (default 30)
-    --fault PLAN       deterministic fault injection, e.g.
-                       'journal.fsync:2,worker.panic:3:crash'; sites:
-                       journal.append journal.fsync worker.panic
-                       socket.read socket.write cache.insert
-
-SIGNALS:
-    SIGTERM            graceful drain: stop admitting, checkpoint running
-                       jobs, exit 0; with --state-dir they resume next boot
-
-ENDPOINTS:
-    POST /jobs                submit a job spec (see crate docs for the format)
-    GET  /jobs/<id>           job phase + summary
-    GET  /jobs/<id>/progress  observer lines (?since=K)
-    GET  /jobs/<id>/result    final summary (409 until finished)
-    GET  /jobs/<id>/graph     anonymized graph as an edge list (once done)
-    POST /jobs/<id>/cancel    cooperative cancel
-    POST /jobs/<id>/events    churn event batch into a held session
-    GET  /metrics             counters (cache hits, recoveries, faults, ...)
-    GET  /healthz             liveness probe
-";
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.iter().any(|a| a == "--help" || a == "-h" || a == "help") {
-        print!("{USAGE}");
+        print!("{}", usage("lopacityd"));
         return;
     }
-    if let Err(e) = run(&argv) {
+    let args = Args::parse(argv);
+    if let Err(e) = DaemonConfig::from_args(&args).and_then(|config| boot_and_serve(&config)) {
         eprintln!("error: {e}");
         std::process::exit(1);
     }
-}
-
-fn run(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv.iter().map(String::as_str));
-    let unknown = args.unknown_keys(&[
-        "addr",
-        "workers",
-        "queue",
-        "job-ttl",
-        "state-dir",
-        "checkpoint-every",
-        "max-attempts",
-        "backlog-bytes",
-        "job-mem-budget",
-        "mem-budget",
-        "job-deadline",
-        "max-body",
-        "io-timeout",
-        "fault",
-    ]);
-    if !unknown.is_empty() {
-        return Err(format!("unknown option --{} (see --help)", unknown[0]));
-    }
-    let defaults = DaemonConfig::default();
-    let optional_u64 = |key: &str| -> Result<Option<u64>, String> {
-        match args.get(key) {
-            None => Ok(None),
-            Some(raw) => {
-                raw.parse().map(Some).map_err(|_| format!("--{key}: {raw:?} is not a number"))
-            }
-        }
-    };
-    let config = DaemonConfig {
-        addr: args.get("addr").unwrap_or(&defaults.addr).to_string(),
-        workers: args.get_or("workers", defaults.workers)?,
-        queue_capacity: args.get_or("queue", defaults.queue_capacity)?,
-        job_ttl_secs: optional_u64("job-ttl")?,
-        state_dir: args.get("state-dir").map(std::path::PathBuf::from),
-        fault_spec: args.get("fault").map(str::to_string),
-        io_timeout_secs: args.get_or("io-timeout", defaults.io_timeout_secs)?,
-        checkpoint_every: args.get_or("checkpoint-every", defaults.checkpoint_every)?,
-        max_attempts: args.get_or("max-attempts", defaults.max_attempts)?,
-        backlog_bytes: optional_u64("backlog-bytes")?.map(|n| n as usize),
-        job_mem_budget: optional_u64("job-mem-budget")?,
-        mem_budget: optional_u64("mem-budget")?,
-        job_deadline_secs: optional_u64("job-deadline")?,
-        max_body: optional_u64("max-body")?.map(|n| usize::try_from(n).unwrap_or(usize::MAX)),
-    };
-    let daemon = Daemon::bind(&config).map_err(|e| format!("bind {}: {e}", config.addr))?;
-    println!("lopacityd listening on {}", daemon.addr());
-    println!("workers {} queue {}", config.workers.max(1), config.queue_capacity);
-    if let Some(dir) = &config.state_dir {
-        println!("state-dir {}", dir.display());
-    }
-    serve_until_term(daemon);
-    Ok(())
 }

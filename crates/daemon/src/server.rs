@@ -19,84 +19,16 @@
 
 use std::io::{self, BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 use lopacity_util::http::{prepare_stream, HttpError, Request, Response, MAX_BODY};
-use lopacity_util::FaultPlan;
 
+use crate::config::DaemonConfig;
 use crate::job::JobSpec;
 use crate::journal::Journal;
-use crate::state::{ChurnError, Job, ServerState, StateOptions, SubmitError};
-
-/// Boot-time knobs for [`Daemon::bind`].
-#[derive(Debug, Clone)]
-pub struct DaemonConfig {
-    /// Bind address; port 0 picks a free port (see [`Daemon::addr`]).
-    pub addr: String,
-    /// Worker threads running jobs.
-    pub workers: usize,
-    /// Queued-job cap; submissions beyond it get `429`.
-    pub queue_capacity: usize,
-    /// Finished-job retention in seconds: expired jobs (results, progress
-    /// logs, held churn sessions) are garbage-collected and counted in
-    /// `lopacityd_jobs_expired`. `None` keeps them forever.
-    pub job_ttl_secs: Option<u64>,
-    /// Durable state directory. When set, every job transition is
-    /// journaled to `<state_dir>/journal.log` and replayed at boot:
-    /// finished jobs restore, interrupted jobs resume from their last
-    /// checkpoint (see the crate docs and `journal`).
-    pub state_dir: Option<PathBuf>,
-    /// Deterministic fault plan, e.g.
-    /// `journal.fsync:2,worker.panic:3:crash` (see
-    /// [`lopacity_util::FaultPlan::parse`]). `None` injects nothing.
-    pub fault_spec: Option<String>,
-    /// Per-connection socket read *and* write deadline in seconds — the
-    /// slowloris guard. 0 disables the deadlines.
-    pub io_timeout_secs: u64,
-    /// Checkpoint cadence in greedy steps (0 disables capture).
-    pub checkpoint_every: u64,
-    /// Worker panics tolerated per job before quarantine.
-    pub max_attempts: u64,
-    /// Queued-spec byte budget for load-shedding admission.
-    pub backlog_bytes: Option<usize>,
-    /// Per-job predicted-footprint cap in bytes; specs predicted past it
-    /// are refused with `413` before any graph or APSP build.
-    pub job_mem_budget: Option<u64>,
-    /// Global predicted-footprint budget in bytes across queued and
-    /// running jobs; submissions past it get `429` + `Retry-After`.
-    pub mem_budget: Option<u64>,
-    /// Per-job wall-clock deadline in seconds; an expired job stops at
-    /// its next cooperative checkpoint (`cancelled`, `interrupted
-    /// deadline`) with a certified-prefix partial result.
-    pub job_deadline_secs: Option<u64>,
-    /// Request-body cap in bytes, clamped to
-    /// [`lopacity_util::http::MAX_BODY`]. `None` uses the clamp itself.
-    pub max_body: Option<usize>,
-}
-
-impl Default for DaemonConfig {
-    fn default() -> DaemonConfig {
-        DaemonConfig {
-            addr: "127.0.0.1:7311".to_string(),
-            workers: 2,
-            queue_capacity: 32,
-            job_ttl_secs: None,
-            state_dir: None,
-            fault_spec: None,
-            io_timeout_secs: 30,
-            checkpoint_every: 1,
-            max_attempts: 3,
-            backlog_bytes: None,
-            job_mem_budget: None,
-            mem_budget: None,
-            job_deadline_secs: None,
-            max_body: None,
-        }
-    }
-}
+use crate::state::{ChurnError, Job, ServerState, SubmitError};
 
 /// A running daemon: listener + worker pool over a shared [`ServerState`].
 /// Dropping it shuts everything down (cancelling in-flight jobs).
@@ -113,25 +45,12 @@ impl Daemon {
     /// With a `state_dir`, the journal is opened and replayed *before*
     /// the first worker starts, so recovered jobs run exactly once.
     pub fn bind(config: &DaemonConfig) -> std::io::Result<Daemon> {
-        let faults = Arc::new(match &config.fault_spec {
-            Some(spec) => FaultPlan::parse(spec).map_err(|e| {
-                std::io::Error::new(std::io::ErrorKind::InvalidInput, format!("fault plan: {e}"))
-            })?,
-            None => FaultPlan::none(),
-        });
+        let faults = Arc::new(config.fault_plan().map_err(|e| {
+            std::io::Error::new(std::io::ErrorKind::InvalidInput, format!("fault plan: {e}"))
+        })?);
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        let state = ServerState::with_options(StateOptions {
-            queue_capacity: config.queue_capacity,
-            job_ttl: config.job_ttl_secs.map(Duration::from_secs),
-            faults: Arc::clone(&faults),
-            checkpoint_every: config.checkpoint_every,
-            max_attempts: config.max_attempts,
-            backlog_bytes: config.backlog_bytes,
-            job_mem_budget: config.job_mem_budget,
-            mem_budget: config.mem_budget,
-            job_deadline: config.job_deadline_secs.map(Duration::from_secs),
-        });
+        let state = ServerState::new(config, Arc::clone(&faults));
         if let Some(dir) = &config.state_dir {
             let (journal, records) = Journal::open(dir, faults)?;
             let recovered = state.attach_journal(Arc::new(journal), records);
@@ -238,6 +157,20 @@ mod term_signal {
             signal(SIGTERM, on_term as *const () as usize);
         }
     }
+}
+
+/// Binds `config`, announces it on stdout and serves until SIGTERM — the
+/// whole life of `lopacityd` and of `lopacify serve`. The first line,
+/// `lopacityd listening on ADDR`, is what scripts wait for.
+pub fn boot_and_serve(config: &DaemonConfig) -> Result<(), String> {
+    let daemon = Daemon::bind(config).map_err(|e| format!("bind {}: {e}", config.addr))?;
+    println!("lopacityd listening on {}", daemon.addr());
+    println!("workers {} queue {}", config.workers.max(1), config.queue_capacity);
+    if let Some(dir) = &config.state_dir {
+        println!("state-dir {}", dir.display());
+    }
+    serve_until_term(daemon);
+    Ok(())
 }
 
 /// Serves until SIGTERM, then drains gracefully ([`Daemon::drain`]) and
@@ -488,7 +421,7 @@ mod tests {
         let (accepted, _) = listener.accept().unwrap();
         // A second handle on the same socket outlives the handler.
         let probe = accepted.try_clone().unwrap();
-        let state = ServerState::new(1);
+        let state = ServerState::new(&DaemonConfig::default(), Default::default());
         let handler = thread::spawn(move || handle_connection(accepted, state, None, MAX_BODY));
         client.write_all(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap();
         handler.join().unwrap();

@@ -34,6 +34,7 @@ use lopacity::{
 };
 use lopacity_util::FaultPlan;
 
+use crate::config::DaemonConfig;
 use crate::job::{graph_hash, resolve_graph, JobMode, JobSpec};
 use crate::journal::{Journal, Record};
 
@@ -314,53 +315,6 @@ impl ProgressObserver for ProgressLog<'_> {
     }
 }
 
-/// Construction-time knobs for [`ServerState::with_options`]; the
-/// daemon-facing superset of the old `(queue_capacity, job_ttl)` pair.
-#[derive(Debug, Clone)]
-pub struct StateOptions {
-    /// Queued-job cap; submissions beyond it get `429`.
-    pub queue_capacity: usize,
-    /// Finished-job retention; `None` keeps jobs forever.
-    pub job_ttl: Option<Duration>,
-    /// Deterministic fault plan shared across every injection site.
-    pub faults: Arc<FaultPlan>,
-    /// Checkpoint cadence in greedy steps; 0 disables capture.
-    pub checkpoint_every: u64,
-    /// Worker panics tolerated per job before quarantine.
-    pub max_attempts: u64,
-    /// Queued-spec byte budget for load-shedding admission; `None`
-    /// disables shedding.
-    pub backlog_bytes: Option<usize>,
-    /// Per-job predicted-footprint cap; predictions above it are refused
-    /// with `413` before any graph or APSP build. `None` disables.
-    pub job_mem_budget: Option<u64>,
-    /// Global predicted-footprint budget across queued + running jobs;
-    /// submissions that would exceed it get `429` + `Retry-After`.
-    /// `None` disables.
-    pub mem_budget: Option<u64>,
-    /// Per-job wall-clock deadline, armed when a worker picks the job
-    /// up; expiry stops the run at its next cooperative checkpoint, so
-    /// the interrupted output is still a certified prefix. `None`
-    /// disables.
-    pub job_deadline: Option<Duration>,
-}
-
-impl Default for StateOptions {
-    fn default() -> StateOptions {
-        StateOptions {
-            queue_capacity: 32,
-            job_ttl: None,
-            faults: Arc::new(FaultPlan::none()),
-            checkpoint_every: 1,
-            max_attempts: 3,
-            backlog_bytes: None,
-            job_mem_budget: None,
-            mem_budget: None,
-            job_deadline: None,
-        }
-    }
-}
-
 /// Everything the daemon's threads share.
 pub struct ServerState {
     next_id: AtomicU64,
@@ -407,38 +361,31 @@ pub struct ServerState {
 }
 
 impl ServerState {
-    pub fn new(queue_capacity: usize) -> Arc<ServerState> {
-        ServerState::with_job_ttl(queue_capacity, None)
-    }
-
-    /// Like [`ServerState::new`], with a finished-job retention TTL.
-    pub fn with_job_ttl(queue_capacity: usize, job_ttl: Option<Duration>) -> Arc<ServerState> {
-        ServerState::with_options(StateOptions { queue_capacity, job_ttl, ..Default::default() })
-    }
-
-    /// Full-option constructor; see [`StateOptions`].
-    pub fn with_options(options: StateOptions) -> Arc<ServerState> {
+    /// The state for `config`'s queue, budgets, retention and checkpoint
+    /// knobs; `faults` is shared with every injection site (the journal's
+    /// too, see [`crate::Daemon::bind`]).
+    pub fn new(config: &DaemonConfig, faults: Arc<FaultPlan>) -> Arc<ServerState> {
         Arc::new(ServerState {
             next_id: AtomicU64::new(0),
             jobs: Mutex::new(HashMap::new()),
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
-            queue_capacity: options.queue_capacity.max(1),
+            queue_capacity: config.queue_capacity.max(1),
             shutdown: AtomicBool::new(false),
             draining: AtomicBool::new(false),
             recovering: AtomicBool::new(false),
             journal: OnceLock::new(),
-            faults: options.faults,
-            checkpoint_every: options.checkpoint_every,
-            max_attempts: options.max_attempts.max(1),
-            backlog_bytes: options.backlog_bytes,
-            job_mem_budget: options.job_mem_budget,
-            mem_budget: options.mem_budget,
-            job_deadline: options.job_deadline,
+            faults,
+            checkpoint_every: config.checkpoint_every,
+            max_attempts: config.max_attempts.max(1),
+            backlog_bytes: config.backlog_bytes,
+            job_mem_budget: config.job_mem_budget,
+            mem_budget: config.mem_budget,
+            job_deadline: config.job_deadline_secs.map(Duration::from_secs),
             ikeys: Mutex::new(HashMap::new()),
             cache: Mutex::new(HashMap::new()),
             churn: Mutex::new(HashMap::new()),
-            job_ttl: options.job_ttl,
+            job_ttl: config.job_ttl_secs.map(Duration::from_secs),
             metrics: Metrics::default(),
         })
     }
@@ -1157,6 +1104,10 @@ fn repair_with(session: &mut ChurnSession, method: &str) -> RepairPatch {
 mod tests {
     use super::*;
 
+    fn state_with(config: DaemonConfig) -> Arc<ServerState> {
+        ServerState::new(&config, Arc::new(FaultPlan::none()))
+    }
+
     fn quick_spec() -> JobSpec {
         JobSpec::parse("mode anonymize\nl 1\ntheta 1.0\ngraph gnm 12 20 3\n").unwrap()
     }
@@ -1172,7 +1123,11 @@ mod tests {
 
     #[test]
     fn finished_jobs_expire_after_the_ttl() {
-        let state = ServerState::with_job_ttl(4, Some(Duration::ZERO));
+        let state = state_with(DaemonConfig {
+            queue_capacity: 4,
+            job_ttl_secs: Some(0),
+            ..Default::default()
+        });
         let done = submit_and_run(&state);
         assert_eq!(state.gc_expired(), 1);
         assert!(state.job(done.id).is_none(), "finished job is dropped");
@@ -1187,7 +1142,7 @@ mod tests {
 
     #[test]
     fn without_a_ttl_jobs_are_kept_forever() {
-        let state = ServerState::new(4);
+        let state = state_with(DaemonConfig { queue_capacity: 4, ..Default::default() });
         let done = submit_and_run(&state);
         assert_eq!(state.gc_expired(), 0);
         assert!(state.job(done.id).is_some());
@@ -1196,7 +1151,11 @@ mod tests {
 
     #[test]
     fn unexpired_jobs_survive_the_sweep() {
-        let state = ServerState::with_job_ttl(4, Some(Duration::from_secs(3600)));
+        let state = state_with(DaemonConfig {
+            queue_capacity: 4,
+            job_ttl_secs: Some(3600),
+            ..Default::default()
+        });
         let done = submit_and_run(&state);
         assert_eq!(state.gc_expired(), 0);
         assert!(state.job(done.id).is_some(), "TTL not yet reached");
@@ -1204,10 +1163,7 @@ mod tests {
 
     #[test]
     fn per_job_memory_budget_rejects_oversized_specs_with_the_estimate() {
-        let state = ServerState::with_options(StateOptions {
-            job_mem_budget: Some(1),
-            ..Default::default()
-        });
+        let state = state_with(DaemonConfig { job_mem_budget: Some(1), ..Default::default() });
         let spec = quick_spec();
         let estimate = spec.estimated_footprint();
         assert!(estimate > 1);
@@ -1227,7 +1183,7 @@ mod tests {
     #[test]
     fn global_memory_budget_admits_again_once_work_finishes() {
         let footprint = quick_spec().estimated_footprint();
-        let state = ServerState::with_options(StateOptions {
+        let state = state_with(DaemonConfig {
             // Room for one quick_spec job in flight, not two.
             mem_budget: Some(footprint + footprint / 2),
             ..Default::default()
@@ -1250,7 +1206,7 @@ mod tests {
 
     #[test]
     fn idempotency_keys_return_the_original_job() {
-        let state = ServerState::new(4);
+        let state = state_with(DaemonConfig { queue_capacity: 4, ..Default::default() });
         let keyed = || {
             JobSpec::parse("mode anonymize\nl 1\ntheta 1.0\nikey k-1\ngraph gnm 12 20 3\n")
                 .unwrap()
@@ -1271,10 +1227,7 @@ mod tests {
 
     #[test]
     fn deadline_expiry_cancels_with_a_deadline_summary() {
-        let state = ServerState::with_options(StateOptions {
-            job_deadline: Some(Duration::ZERO),
-            ..Default::default()
-        });
+        let state = state_with(DaemonConfig { job_deadline_secs: Some(0), ..Default::default() });
         // theta 0.0 is unreachable, so the run would grind through its
         // whole step budget — the already-expired deadline must stop it
         // at the first cooperative checkpoint instead.
@@ -1296,7 +1249,11 @@ mod tests {
 
     #[test]
     fn expiry_drops_held_churn_sessions() {
-        let state = ServerState::with_job_ttl(4, Some(Duration::ZERO));
+        let state = state_with(DaemonConfig {
+            queue_capacity: 4,
+            job_ttl_secs: Some(0),
+            ..Default::default()
+        });
         let spec =
             JobSpec::parse("mode churn\nl 1\ntheta 1.0\ngraph gnm 12 20 3\n").unwrap();
         let job = state.submit(spec).expect("submit");

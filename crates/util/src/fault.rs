@@ -3,13 +3,13 @@
 //! A [`FaultPlan`] is a set of rules of the form *"at the Nth time
 //! execution reaches the named site, inject a fault"*. Sites are plain
 //! string labels compiled into the code under test (the `lopacityd`
-//! daemon's catalog lives in its ARCHITECTURE section: `journal.append`,
-//! `journal.fsync`, `worker.panic`, `socket.read`, `socket.write`,
-//! `cache.insert`); hit counting is per site and the rules are pure
-//! functions of the hit count, so a chaos run is **reproducible**: the
-//! same plan against the same deterministic workload fires the same
-//! faults at the same points, every time. No randomness is involved —
-//! the workspace's determinism contract extends to its failure testing.
+//! daemon lists its sites in `lopacity_daemon::config::FAULT_SITES` and
+//! rejects plans naming any other); hit counting is per site and the
+//! rules are pure functions of the hit count, so a chaos run is
+//! **reproducible**: the same plan against the same deterministic
+//! workload fires the same faults at the same points, every time. No
+//! randomness is involved — the workspace's determinism contract extends
+//! to its failure testing.
 //!
 //! Plan syntax (comma-separated rules):
 //!

@@ -8,19 +8,25 @@
 //! which worker finished first, or an RNG consumed a different number of
 //! times on the parallel path.
 
-// Deliberately exercised through the deprecated wrappers: they are thin
-// shims over the session API (`tests/tests/session_api.rs` proves the
-// outputs bit-for-bit equal), so these suites keep the compatibility
-// surface itself under the determinism/equivalence contract.
-#![allow(deprecated)]
-
 use lopacity::opacity::opacity_report_against_original;
 use lopacity::{
-    edge_removal, edge_removal_insertion, AnonymizationOutcome, AnonymizeConfig, Parallelism,
+    AnonymizationOutcome, AnonymizeConfig, Anonymizer, Parallelism, Removal, RemovalInsertion,
     StoreBackend, TypeSpec,
 };
 use lopacity_gen::Dataset;
 use lopacity_graph::Graph;
+
+/// One standalone Algorithm 4 run: a session consumed by `run_once`.
+fn run_removal(g: &Graph, config: &AnonymizeConfig) -> AnonymizationOutcome {
+    Anonymizer::new(g, &TypeSpec::DegreePairs).config(*config).run_once(Removal)
+}
+
+/// One standalone Algorithm 5 run: a session consumed by `run_once`.
+fn run_removal_insertion(g: &Graph, config: &AnonymizeConfig) -> AnonymizationOutcome {
+    Anonymizer::new(g, &TypeSpec::DegreePairs)
+        .config(*config)
+        .run_once(RemovalInsertion::default())
+}
 
 /// Renders everything observable about a run into one byte string: the
 /// run report, the full edit lists, the published edge list, and the
@@ -50,15 +56,15 @@ fn assert_repeat_runs_identical(parallelism: Parallelism, tag: &str) {
     let original = Dataset::Gnutella.generate(120, 9);
     for l in [1u8, 2] {
         let config = AnonymizeConfig::new(l, 0.5).with_seed(17).with_parallelism(parallelism);
-        let first = edge_removal(&original, &TypeSpec::DegreePairs, &config);
-        let second = edge_removal(&original, &TypeSpec::DegreePairs, &config);
+        let first = run_removal(&original, &config);
+        let second = run_removal(&original, &config);
         assert_eq!(
             rendered(&original, &first, l),
             rendered(&original, &second, l),
             "rem is nondeterministic ({tag}, L={l})"
         );
-        let first = edge_removal_insertion(&original, &TypeSpec::DegreePairs, &config);
-        let second = edge_removal_insertion(&original, &TypeSpec::DegreePairs, &config);
+        let first = run_removal_insertion(&original, &config);
+        let second = run_removal_insertion(&original, &config);
         assert_eq!(
             rendered(&original, &first, l),
             rendered(&original, &second, l),
@@ -96,8 +102,8 @@ fn fork_clone_counter_is_deterministic() {
         // L = 2, θ = 0.3 really steps on this instance (L = 1 is already
         // below every θ the suite uses, which would warm no forks at all).
         let config = AnonymizeConfig::new(2, 0.3).with_seed(17).with_parallelism(parallelism);
-        let first = edge_removal(&original, &TypeSpec::DegreePairs, &config);
-        let second = edge_removal(&original, &TypeSpec::DegreePairs, &config);
+        let first = run_removal(&original, &config);
+        let second = run_removal(&original, &config);
         assert!(first.steps > 0, "instance must actually step ({parallelism})");
         assert_eq!(first.fork_clones, second.fork_clones, "{parallelism}");
         match parallelism {
@@ -116,16 +122,8 @@ fn store_backends_match_byte_for_byte() {
     for l in [1u8, 2] {
         for parallelism in [Parallelism::Off, Parallelism::Fixed(4)] {
             let base = AnonymizeConfig::new(l, 0.5).with_seed(17).with_parallelism(parallelism);
-            let dense = edge_removal(
-                &original,
-                &TypeSpec::DegreePairs,
-                &base.with_store(StoreBackend::Dense),
-            );
-            let sparse = edge_removal(
-                &original,
-                &TypeSpec::DegreePairs,
-                &base.with_store(StoreBackend::Sparse),
-            );
+            let dense = run_removal(&original, &base.with_store(StoreBackend::Dense));
+            let sparse = run_removal(&original, &base.with_store(StoreBackend::Sparse));
             assert_eq!(
                 rendered(&original, &dense, l),
                 rendered(&original, &sparse, l),
@@ -139,15 +137,7 @@ fn store_backends_match_byte_for_byte() {
 fn four_workers_match_sequential_byte_for_byte() {
     let original = Dataset::Gnutella.generate(120, 9);
     let base = AnonymizeConfig::new(1, 0.5).with_seed(17);
-    let seq = edge_removal(
-        &original,
-        &TypeSpec::DegreePairs,
-        &base.with_parallelism(Parallelism::Off),
-    );
-    let par = edge_removal(
-        &original,
-        &TypeSpec::DegreePairs,
-        &base.with_parallelism(Parallelism::Fixed(4)),
-    );
+    let seq = run_removal(&original, &base.with_parallelism(Parallelism::Off));
+    let par = run_removal(&original, &base.with_parallelism(Parallelism::Fixed(4)));
     assert_eq!(rendered(&original, &seq, 1), rendered(&original, &par, 1));
 }

@@ -11,20 +11,26 @@
 //! fallback, so even these deliberately small graphs exercise real
 //! multi-worker sharding (including workers > candidates).
 
-// Deliberately exercised through the deprecated wrappers: they are thin
-// shims over the session API (`tests/tests/session_api.rs` proves the
-// outputs bit-for-bit equal), so these suites keep the compatibility
-// surface itself under the determinism/equivalence contract.
-#![allow(deprecated)]
-
 use lopacity::opacity::opacity_report_against_original;
 use lopacity::{
-    edge_removal, edge_removal_insertion, AnonymizeConfig, AnonymizationOutcome, Anonymizer,
-    Parallelism, ProgressObserver, Removal, RemovalInsertion, StepEvent, StoreBackend, TypeSpec,
+    AnonymizeConfig, AnonymizationOutcome, Anonymizer, Parallelism, ProgressObserver, Removal,
+    RemovalInsertion, StepEvent, StoreBackend, TypeSpec,
 };
 use lopacity_gen::er::gnm;
 use lopacity_graph::Graph;
 use proptest::prelude::*;
+
+/// One standalone Algorithm 4 run: a session consumed by `run_once`.
+fn run_removal(g: &Graph, config: &AnonymizeConfig) -> AnonymizationOutcome {
+    Anonymizer::new(g, &TypeSpec::DegreePairs).config(*config).run_once(Removal)
+}
+
+/// One standalone Algorithm 5 run: a session consumed by `run_once`.
+fn run_removal_insertion(g: &Graph, config: &AnonymizeConfig) -> AnonymizationOutcome {
+    Anonymizer::new(g, &TypeSpec::DegreePairs)
+        .config(*config)
+        .run_once(RemovalInsertion::default())
+}
 
 /// Worker counts the suite proves equivalent to sequential. 1 exercises
 /// the "forced shard of one" path, 2/3 uneven shard boundaries, 8 more
@@ -74,23 +80,19 @@ proptest! {
     ) {
         let g = gnm(n, density * n / 2 + 3, seed);
         let base = AnonymizeConfig::new(l, theta).with_seed(seed);
-        let sequential_rem = edge_removal(
-            &g, &TypeSpec::DegreePairs, &base.with_parallelism(Parallelism::Off),
-        );
-        let sequential_ri = edge_removal_insertion(
-            &g, &TypeSpec::DegreePairs, &base.with_parallelism(Parallelism::Off),
-        );
+        let sequential_rem = run_removal(&g, &base.with_parallelism(Parallelism::Off));
+        let sequential_ri = run_removal_insertion(&g, &base.with_parallelism(Parallelism::Off));
         let seq_rem_report = rendered_report(&g, &sequential_rem, l);
         let seq_ri_report = rendered_report(&g, &sequential_ri, l);
         for workers in WORKER_COUNTS {
             let config = base.with_parallelism(Parallelism::Fixed(workers));
             let context = format!("n={n} l={l} theta={theta} seed={seed} workers={workers}");
 
-            let par = edge_removal(&g, &TypeSpec::DegreePairs, &config);
+            let par = run_removal(&g, &config);
             assert_outcomes_identical(&sequential_rem, &par, &format!("rem {context}"))?;
             prop_assert_eq!(&seq_rem_report, &rendered_report(&g, &par, l));
 
-            let par = edge_removal_insertion(&g, &TypeSpec::DegreePairs, &config);
+            let par = run_removal_insertion(&g, &config);
             assert_outcomes_identical(&sequential_ri, &par, &format!("rem-ins {context}"))?;
             prop_assert_eq!(&seq_ri_report, &rendered_report(&g, &par, l));
         }
@@ -105,11 +107,11 @@ proptest! {
             let context =
                 format!("n={n} l={l} theta={theta} seed={seed} sparse {parallelism}");
 
-            let sparse = edge_removal(&g, &TypeSpec::DegreePairs, &config);
+            let sparse = run_removal(&g, &config);
             assert_outcomes_identical(&sequential_rem, &sparse, &format!("rem {context}"))?;
             prop_assert_eq!(&seq_rem_report, &rendered_report(&g, &sparse, l));
 
-            let sparse = edge_removal_insertion(&g, &TypeSpec::DegreePairs, &config);
+            let sparse = run_removal_insertion(&g, &config);
             assert_outcomes_identical(&sequential_ri, &sparse, &format!("rem-ins {context}"))?;
             prop_assert_eq!(&seq_ri_report, &rendered_report(&g, &sparse, l));
         }
@@ -130,15 +132,9 @@ proptest! {
             .with_seed(seed)
             .with_lookahead(2)
             .with_max_trials(max_trials);
-        let sequential = edge_removal(
-            &g, &TypeSpec::DegreePairs, &base.with_parallelism(Parallelism::Off),
-        );
+        let sequential = run_removal(&g, &base.with_parallelism(Parallelism::Off));
         for workers in WORKER_COUNTS {
-            let par = edge_removal(
-                &g,
-                &TypeSpec::DegreePairs,
-                &base.with_parallelism(Parallelism::Fixed(workers)),
-            );
+            let par = run_removal(&g, &base.with_parallelism(Parallelism::Fixed(workers)));
             let context = format!("n={n} theta={theta} seed={seed} workers={workers}");
             assert_outcomes_identical(&sequential, &par, &context)?;
         }
@@ -221,12 +217,8 @@ fn removal_insertion_shares_forks_across_phases() {
 fn sequential_runs_never_clone() {
     let g = gnm(60, 180, 5);
     let base = AnonymizeConfig::new(1, 0.3).with_seed(11);
-    let seq = edge_removal(&g, &TypeSpec::DegreePairs, &base.with_parallelism(Parallelism::Off));
-    let par = edge_removal(
-        &g,
-        &TypeSpec::DegreePairs,
-        &base.with_parallelism(Parallelism::Fixed(3)),
-    );
+    let seq = run_removal(&g, &base.with_parallelism(Parallelism::Off));
+    let par = run_removal(&g, &base.with_parallelism(Parallelism::Fixed(3)));
     assert_eq!(seq.fork_clones, 0);
     assert_eq!(par.fork_clones, 2);
     assert_eq!(seq.removed, par.removed);
@@ -268,15 +260,10 @@ fn sparse_forks_survive_multi_step_replay() {
         let base = AnonymizeConfig::new(l, 0.2)
             .with_seed(29)
             .with_store(StoreBackend::Sparse);
-        let seq =
-            edge_removal(&g, &TypeSpec::DegreePairs, &base.with_parallelism(Parallelism::Off));
+        let seq = run_removal(&g, &base.with_parallelism(Parallelism::Off));
         assert!(seq.steps >= 3, "need a multi-step run to stress replay (L={l})");
         for workers in [2usize, 4] {
-            let par = edge_removal(
-                &g,
-                &TypeSpec::DegreePairs,
-                &base.with_parallelism(Parallelism::Fixed(workers)),
-            );
+            let par = run_removal(&g, &base.with_parallelism(Parallelism::Fixed(workers)));
             assert_eq!(seq.removed, par.removed, "L={l} workers={workers}");
             assert_eq!(seq.graph, par.graph, "L={l} workers={workers}");
             assert_eq!(seq.trials, par.trials, "L={l} workers={workers}");
@@ -292,8 +279,8 @@ fn auto_parallelism_matches_sequential() {
         let g = gnm(40, 100, seed);
         for l in [1u8, 2] {
             let base = AnonymizeConfig::new(l, 0.4).with_seed(seed);
-            let seq = edge_removal(&g, &TypeSpec::DegreePairs, &base.with_parallelism(Parallelism::Off));
-            let auto = edge_removal(&g, &TypeSpec::DegreePairs, &base.with_parallelism(Parallelism::Auto));
+            let seq = run_removal(&g, &base.with_parallelism(Parallelism::Off));
+            let auto = run_removal(&g, &base.with_parallelism(Parallelism::Auto));
             assert_eq!(seq.removed, auto.removed, "seed {seed} l {l}");
             assert_eq!(seq.graph, auto.graph, "seed {seed} l {l}");
             assert_eq!(seq.trials, auto.trials, "seed {seed} l {l}");

@@ -1,9 +1,9 @@
 //! The session API redesign's equivalence contract:
 //!
-//! 1. the deprecated free functions (`edge_removal`,
-//!    `edge_removal_insertion`) and `Anonymizer::run` produce **identical**
-//!    `AnonymizationOutcome`s — property-tested over G(n, m) × both greedy
-//!    strategies × `Parallelism::{Off, Fixed(3)}`;
+//! 1. the one-shot `Anonymizer::run_once` and the reusable
+//!    `Anonymizer::run` produce **identical** `AnonymizationOutcome`s —
+//!    property-tested over G(n, m) × both greedy strategies ×
+//!    `Parallelism::{Off, Fixed(3)}`;
 //! 2. `sweep(&[θ...], SweepMode::Independent)` equals a standalone run per
 //!    θ, bit-for-bit;
 //! 3. `sweep(&[θ...], SweepMode::Resume)` *also* equals a standalone run
@@ -13,11 +13,9 @@
 //!    the APSP-sharing acceptance criterion, measured through the
 //!    observer's trial accounting.
 
-#![allow(deprecated)] // the left-hand side of the equivalence IS deprecated
-
 use lopacity::{
-    edge_removal, edge_removal_insertion, AnonymizationOutcome, AnonymizeConfig, Anonymizer,
-    CountingObserver, Parallelism, Removal, RemovalInsertion, Strategy, SweepMode, TypeSpec,
+    AnonymizationOutcome, AnonymizeConfig, Anonymizer, CountingObserver, Parallelism, Removal,
+    RemovalInsertion, Strategy, SweepMode, TypeSpec,
 };
 use lopacity_gen::er::gnm;
 use lopacity_gen::Dataset;
@@ -26,19 +24,19 @@ use proptest::prelude::*;
 
 /// Every observable facet of two outcomes matches exactly.
 fn assert_outcomes_identical(
-    wrapper: &AnonymizationOutcome,
+    expected: &AnonymizationOutcome,
     session: &AnonymizationOutcome,
     context: &str,
 ) -> Result<(), TestCaseError> {
-    prop_assert_eq!(&wrapper.removed, &session.removed, "removals differ: {}", context);
-    prop_assert_eq!(&wrapper.inserted, &session.inserted, "insertions differ: {}", context);
-    prop_assert_eq!(&wrapper.graph, &session.graph, "published graphs differ: {}", context);
-    prop_assert_eq!(wrapper.steps, session.steps, "step counts differ: {}", context);
-    prop_assert_eq!(wrapper.trials, session.trials, "trial counts differ: {}", context);
-    prop_assert_eq!(wrapper.achieved, session.achieved, "achievement differs: {}", context);
-    prop_assert_eq!(wrapper.final_lo, session.final_lo, "final maxLO differs: {}", context);
+    prop_assert_eq!(&expected.removed, &session.removed, "removals differ: {}", context);
+    prop_assert_eq!(&expected.inserted, &session.inserted, "insertions differ: {}", context);
+    prop_assert_eq!(&expected.graph, &session.graph, "published graphs differ: {}", context);
+    prop_assert_eq!(expected.steps, session.steps, "step counts differ: {}", context);
+    prop_assert_eq!(expected.trials, session.trials, "trial counts differ: {}", context);
+    prop_assert_eq!(expected.achieved, session.achieved, "achievement differs: {}", context);
+    prop_assert_eq!(expected.final_lo, session.final_lo, "final maxLO differs: {}", context);
     prop_assert_eq!(
-        wrapper.final_n_at_max,
+        expected.final_n_at_max,
         session.final_n_at_max,
         "final N differs: {}",
         context
@@ -46,10 +44,11 @@ fn assert_outcomes_identical(
     Ok(())
 }
 
-fn run_wrapper(which: usize, g: &Graph, config: &AnonymizeConfig) -> AnonymizationOutcome {
+fn run_once(which: usize, g: &Graph, config: &AnonymizeConfig) -> AnonymizationOutcome {
+    let session = Anonymizer::new(g, &TypeSpec::DegreePairs).config(*config);
     match which {
-        0 => edge_removal(g, &TypeSpec::DegreePairs, config),
-        _ => edge_removal_insertion(g, &TypeSpec::DegreePairs, config),
+        0 => session.run_once(Removal),
+        _ => session.run_once(RemovalInsertion::default()),
     }
 }
 
@@ -64,9 +63,10 @@ fn run_session(which: usize, g: &Graph, config: &AnonymizeConfig) -> Anonymizati
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Satellite: deprecated wrappers vs `Anonymizer::run`, bit-for-bit.
+    /// `Anonymizer::run_once` (consumes the build) vs `Anonymizer::run`
+    /// (clones it), bit-for-bit.
     #[test]
-    fn wrappers_equal_session_runs(
+    fn run_once_equals_session_runs(
         n in 8usize..24,
         density in 1usize..4,
         l in 1u8..3,
@@ -83,9 +83,9 @@ proptest! {
                     "strategy={} n={n} l={l} theta={theta} seed={seed} par={parallelism:?}",
                     if which == 0 { "rem" } else { "rem-ins" },
                 );
-                let wrapper = run_wrapper(which, &g, &config);
+                let once = run_once(which, &g, &config);
                 let session = run_session(which, &g, &config);
-                assert_outcomes_identical(&wrapper, &session, &context)?;
+                assert_outcomes_identical(&once, &session, &context)?;
             }
         }
     }
